@@ -83,7 +83,7 @@ func TestAuditedEnginesEndToEnd(t *testing.T) {
 		opt  []rap.Option
 	}{
 		{"tree", nil},
-		{"concurrent", []rap.Option{rap.WithConcurrent()}},
+		{"concurrent", []rap.Option{rap.WithSharding(1)}},
 		{"sharded", []rap.Option{rap.WithSharding(4)}},
 	}
 	for _, eng := range engines {

@@ -27,9 +27,10 @@ type engineSpec struct {
 	name string
 	make func(t *testing.T) rap.Profiler
 	// exactBatch: AddBatch must be estimate-for-estimate identical to
-	// sequential Add. False only for Sharded, where Add round-robins
-	// single events across stripes while AddBatch pins a chunk to one —
-	// a different (equally valid) shard assignment of the same stream.
+	// sequential Add. False only for Sharded at k > 1, where Add
+	// round-robins single events across stripes while AddBatch pins a
+	// chunk to one — a different (equally valid) shard assignment of the
+	// same stream.
 	exactBatch bool
 	// snapshot/restore expose the engine's snapshot surface; nil when the
 	// engine has none (SampledTree is ingest-side state, not a store).
@@ -60,49 +61,40 @@ func engineTable() []engineSpec {
 			},
 		},
 		{
-			name:       "ConcurrentTree",
-			make:       func(t *testing.T) rap.Profiler { return mustProfiler[*rap.ConcurrentTree](t)(rap.NewConcurrent(cfg)) },
-			exactBatch: true,
-			snapshot: func(t *testing.T, p rap.Profiler) []byte {
-				data, err := p.(*rap.ConcurrentTree).Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return data
-			},
-			restore: func(t *testing.T, data []byte) rap.Profiler {
-				fresh := mustProfiler[*rap.ConcurrentTree](t)(rap.NewConcurrent(cfg))
-				if err := fresh.(*rap.ConcurrentTree).Restore(data); err != nil {
-					t.Fatal(err)
-				}
-				return fresh
-			},
-		},
-		{
 			// k=3 on purpose: batch determinism must hold mid-sampling
 			// period, not just at the k=1 degenerate point.
 			name:       "SampledTree",
 			make:       func(t *testing.T) rap.Profiler { return mustProfiler[*rap.SampledTree](t)(rap.NewSampled(cfg, 3)) },
 			exactBatch: true,
 		},
-		{
-			name:       "Sharded",
-			make:       func(t *testing.T) rap.Profiler { return mustProfiler[*rap.Sharded](t)(rap.NewSharded(cfg, 4)) },
-			exactBatch: false,
-			snapshot: func(t *testing.T, p rap.Profiler) []byte {
-				data, err := p.(*rap.Sharded).Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return data
-			},
-			restore: func(t *testing.T, data []byte) rap.Profiler {
-				fresh := mustProfiler[*rap.Sharded](t)(rap.NewSharded(cfg, 4))
-				if err := fresh.(*rap.Sharded).Restore(data); err != nil {
-					t.Fatal(err)
-				}
-				return fresh
-			},
+		shardedSpec(cfg, "Sharded", 4),
+		// One shard is the single-lock engine; its queries read the lone
+		// tree directly instead of a merged union.
+		shardedSpec(cfg, "Sharded1", 1),
+	}
+}
+
+// shardedSpec is the sharded engine's table entry at k shards.
+func shardedSpec(cfg rap.Config, name string, k int) engineSpec {
+	return engineSpec{
+		name: name,
+		make: func(t *testing.T) rap.Profiler { return mustProfiler[*rap.Sharded](t)(rap.NewSharded(cfg, k)) },
+		// Add round-robins single events across stripes while AddBatch
+		// pins a chunk to one; with one stripe the two coincide.
+		exactBatch: k == 1,
+		snapshot: func(t *testing.T, p rap.Profiler) []byte {
+			data, err := p.(*rap.Sharded).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		},
+		restore: func(t *testing.T, data []byte) rap.Profiler {
+			fresh := mustProfiler[*rap.Sharded](t)(rap.NewSharded(cfg, k))
+			if err := fresh.(*rap.Sharded).Restore(data); err != nil {
+				t.Fatal(err)
+			}
+			return fresh
 		},
 	}
 }

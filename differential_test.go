@@ -34,14 +34,16 @@ func diffConfig() rap.Config {
 // diffEngines builds one of each engine over cfg. The sampled engine runs
 // at k=1: sampling deliberately trades the one-sided guarantee away for
 // k>1, so the differential bound is only its contract at k=1 (where it
-// degenerates to a plain tree behind the sampler bookkeeping).
+// degenerates to a plain tree behind the sampler bookkeeping). The
+// sharded engine runs at k=4 and at k=1, the single-lock engine whose
+// queries read its lone tree instead of a merged union.
 func diffEngines(t *testing.T, cfg rap.Config) map[string]rap.Profiler {
 	t.Helper()
 	tree, err := rap.NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := rap.NewConcurrent(cfg)
+	single, err := rap.NewSharded(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +56,10 @@ func diffEngines(t *testing.T, cfg rap.Config) map[string]rap.Profiler {
 		t.Fatal(err)
 	}
 	return map[string]rap.Profiler{
-		"Tree":           tree,
-		"ConcurrentTree": conc,
-		"SampledTree":    samp,
-		"Sharded":        shrd,
+		"Tree":        tree,
+		"Sharded1":    single,
+		"SampledTree": samp,
+		"Sharded":     shrd,
 	}
 }
 

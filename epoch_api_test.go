@@ -48,9 +48,10 @@ func TestProfilerSignatureGuard(t *testing.T) {
 	}
 }
 
-// TestReaderOfAllEngines checks the epoch escape hatch across the four
-// engines: consistent-cut engines hand back a working epoch, the
-// sampling engine reports ok=false.
+// TestReaderOfAllEngines checks the epoch escape hatch across the
+// engines, the one-shard single-lock engine included: consistent-cut
+// engines hand back a working epoch, the sampling engine reports
+// ok=false.
 func TestReaderOfAllEngines(t *testing.T) {
 	feed := func(p rap.Writer) {
 		for i := uint64(0); i < 20_000; i++ {
@@ -63,8 +64,8 @@ func TestReaderOfAllEngines(t *testing.T) {
 		ok   bool
 	}{
 		{"tree", nil, true},
-		{"concurrent", []rap.Option{rap.WithConcurrent(), rap.WithReadSnapshots(1024)}, true},
-		{"concurrent-no-snapshots", []rap.Option{rap.WithConcurrent()}, true},
+		{"concurrent", []rap.Option{rap.WithSharding(1), rap.WithReadSnapshots(1024)}, true},
+		{"concurrent-no-snapshots", []rap.Option{rap.WithSharding(1)}, true},
 		{"sharded", []rap.Option{rap.WithSharding(4), rap.WithReadSnapshots(1024)}, true},
 		{"sampled", []rap.Option{rap.WithSampling(8)}, false},
 	}
@@ -122,7 +123,7 @@ func TestWithReadSnapshotsEngineSelection(t *testing.T) {
 		name string
 		opts []rap.Option
 	}{
-		{"concurrent", []rap.Option{rap.WithConcurrent(), rap.WithReadSnapshots(0)}},
+		{"concurrent", []rap.Option{rap.WithSharding(1), rap.WithReadSnapshots(0)}},
 		{"sharded", []rap.Option{rap.WithSharding(2), rap.WithReadSnapshots(0)}},
 	} {
 		p, err := rap.New(c.opts...)
@@ -137,5 +138,36 @@ func TestWithReadSnapshotsEngineSelection(t *testing.T) {
 			t.Fatalf("%s: epoch seq 0 — engine served a detached fallback, snapshots not enabled", c.name)
 		}
 		e.Release()
+	}
+}
+
+// TestFinalizePublishesEpoch: Finalize's merge batches change the
+// profile, so with read snapshots on it must publish a fresh epoch —
+// pinned readers and lock-free queries then see the whole finalized
+// stream, not the last cadence boundary before it.
+func TestFinalizePublishesEpoch(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		p, err := rap.New(rap.WithSharding(k), rap.WithReadSnapshots(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 100_000 // not a multiple of the default 64Ki cadence
+		for i := uint64(0); i < n; i++ {
+			p.Add(i * 2654435761)
+		}
+		if st := p.Finalize(); st.N != n {
+			t.Fatalf("k=%d: Finalize N = %d, want %d", k, st.N, n)
+		}
+		e, ok := rap.ReaderOf(p)
+		if !ok {
+			t.Fatalf("k=%d: no epoch from ReaderOf", k)
+		}
+		if e.CutN() != n {
+			t.Errorf("k=%d: pinned epoch cut at %d after Finalize, want %d", k, e.CutN(), n)
+		}
+		e.Release()
+		if got := p.Estimate(0, ^uint64(0)); got != n {
+			t.Errorf("k=%d: full-universe estimate %d after Finalize, want %d", k, got, n)
+		}
 	}
 }

@@ -21,16 +21,19 @@ import (
 func main() {
 	// A concurrent profiler with the paper's defaults: 64-bit universe,
 	// branching factor 4, eps = 1% error bound, batched merges doubling
-	// in period. WithReadSnapshots decouples queries from ingest: the
-	// writer publishes immutable epochs and readers pin them without
-	// taking any lock.
-	p, err := rap.New(
+	// in period. WithSharding(1) keeps one tree behind one mutex, so any
+	// number of goroutines may feed it. WithReadSnapshots decouples
+	// queries from ingest: the writer publishes immutable epochs (and a
+	// final one on Finalize) and readers pin them without taking any
+	// lock.
+	opts := []rap.Option{
 		rap.WithUniverse(0), // full 64-bit universe
 		rap.WithEpsilon(0.01),
 		rap.WithBranching(4),
-		rap.WithConcurrent(),
+		rap.WithSharding(1),
 		rap.WithReadSnapshots(0), // 0 = default publish cadence
-	)
+	}
+	p, err := rap.New(opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,15 +95,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var restored rap.Tree
-	if err := restored.UnmarshalBinary(blob); err != nil {
+	back, err := rap.New(opts...)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsnapshot: %d bytes; restored tree sees %d events\n", len(blob), restored.N())
-	fmt.Printf("split threshold is eps*n/H = %.0f events\n", restored.SplitThreshold())
+	restored := back.(*rap.Sharded)
+	if err := restored.Restore(blob); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nsnapshot: %d bytes; restored engine sees %d events\n", len(blob), restored.N())
+
+	// MergedTree hands offline tools a plain, independent rap.Tree.
+	tree := restored.MergedTree()
+	fmt.Printf("split threshold is eps*n/H = %.0f events\n", tree.SplitThreshold())
 
 	fmt.Println("\nfull tree dump:")
-	if err := restored.WriteASCII(os.Stdout); err != nil {
+	if err := tree.WriteASCII(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"rap/internal/admit"
 	"rap/internal/core"
+	"rap/internal/shard"
 )
 
 // gateTree builds a plain 64-bit-universe tree with both the randomized
@@ -113,18 +114,19 @@ func TestAuditCertifiesArbitraryAdmitter(t *testing.T) {
 // notice the regression and rebase rather than certify or false-alarm.
 func TestLedgerLossFaultRebases(t *testing.T) {
 	cfg := testConfig(64)
-	c, err := core.NewConcurrent(cfg)
+	c, err := shard.New(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fe := admit.New(admit.Options{Seed: 4})
-	c.SetAdmitter(fe.Gates(cfg.UniverseBits, 1)[0])
+	gate := fe.Gates(cfg.UniverseBits, 1)[0]
+	c.SetShardAdmitters(func(int) core.Admitter { return gate })
 	a := New(testOptions())
 	taps, err := a.Attach(cfg, c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTap(taps[0])
+	c.SetShardTaps(func(int) core.Tap { return taps[0] })
 
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 40_000; i++ {

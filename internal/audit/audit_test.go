@@ -291,7 +291,7 @@ func TestBrokenEstimatorCaught(t *testing.T) {
 
 func TestRestoreTriggersRebase(t *testing.T) {
 	cfg := testConfig(24)
-	c, err := core.NewConcurrent(cfg)
+	c, err := shard.New(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestRestoreTriggersRebase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTap(taps[0])
+	c.SetShardTaps(func(int) core.Tap { return taps[0] })
 	for i := 0; i < 20_000; i++ {
 		c.Add(uint64(i % 4096))
 	}
@@ -401,7 +401,7 @@ func TestShardRestoreAndAdoptRebase(t *testing.T) {
 
 func TestConcurrentMergeRebases(t *testing.T) {
 	cfg := testConfig(24)
-	c, err := core.NewConcurrent(cfg)
+	c, err := shard.New(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestConcurrentMergeRebases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTap(taps[0])
+	c.SetShardTaps(func(int) core.Tap { return taps[0] })
 	for i := 0; i < 5_000; i++ {
 		c.Add(uint64(i % 512))
 	}

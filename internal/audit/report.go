@@ -177,14 +177,11 @@ func (a *Auditor) Report() (Report, bool) {
 	return Report{}, false
 }
 
-// cut primitives optionally implemented by the estimator. Both run the
-// capture callback while every engine lock is held, handing it the tree
-// the checks will query.
+// mergedCutter is the cut primitive optionally implemented by the
+// estimator (the sharded engine). It runs the capture callback while every
+// engine lock is held, handing it the tree the checks will query.
 type mergedCutter interface {
 	MergedTreeCut(capture func(m *core.Tree)) *core.Tree
-}
-type cloneCutter interface {
-	CloneCut(capture func(t *core.Tree)) *core.Tree
 }
 
 // Audit runs one pass: capture truth under a consistent cut, compare the
@@ -206,9 +203,9 @@ func (a *Auditor) Audit() (Report, error) {
 		defer a.adoptMu.Unlock()
 		var n, unadm uint64
 		if m != nil {
-			// A merged or cloned cut tree carries the summed unadmitted
-			// ledger of the trees it was cut from (Merge adds it, Clone
-			// copies it), so both reads describe one instant.
+			// A merged cut tree carries the summed unadmitted ledger of
+			// the trees it was cut from (Merge adds it), so both reads
+			// describe one instant.
 			n = m.N()
 			unadm = m.UnadmittedN()
 		} else {
@@ -276,16 +273,13 @@ func (a *Auditor) Audit() (Report, error) {
 		}
 	}
 
-	// Capture under the strongest cut the estimator offers. The cut tree
+	// Capture under the engine's cut when it offers one. The cut tree
 	// (when there is one) is private to this pass, so the checks below run
 	// with no engine lock held.
 	var cutTree *core.Tree
-	switch e := a.est.(type) {
-	case mergedCutter:
+	if e, ok := a.est.(mergedCutter); ok {
 		cutTree = e.MergedTreeCut(capture)
-	case cloneCutter:
-		cutTree = e.CloneCut(capture)
-	default:
+	} else {
 		capture(nil)
 	}
 

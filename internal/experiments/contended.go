@@ -15,17 +15,18 @@ import (
 // ContendedRow is one feeder count measured under both locking regimes.
 type ContendedRow struct {
 	Feeders       int
-	SingleLockEPS float64 // events/sec through one ConcurrentTree
+	SingleLockEPS float64 // events/sec through a one-shard shard.Engine
 	ShardedEPS    float64 // events/sec through a shard.Engine (shards = feeders)
 	Speedup       float64 // ShardedEPS / SingleLockEPS
 }
 
 // ContendedResult measures multi-goroutine ingest throughput: F feeder
-// goroutines hammering per-event Add against (a) a single mutex-wrapped
-// tree and (b) a sharded engine with one shard per feeder and per-feeder
-// pinned handles. The workload (per-feeder Zipf streams) is pre-generated
-// so the measured region is pure ingest. Scaling beyond 1× requires real
-// cores: GOMAXPROCS is recorded so a 1-CPU run explains its own flatness.
+// goroutines hammering per-event Add through per-feeder pinned handles on
+// (a) a one-shard engine, where every handle pins shard 0 so all feeders
+// share one mutex, and (b) a sharded engine with one shard per feeder.
+// The workload (per-feeder Zipf streams) is pre-generated so the measured
+// region is pure ingest. Scaling beyond 1× requires real cores:
+// GOMAXPROCS is recorded so a 1-CPU run explains its own flatness.
 type ContendedResult struct {
 	Events     uint64 // events per regime at each feeder count
 	GOMAXPROCS int
@@ -57,23 +58,11 @@ func Contended(o Options) (ContendedResult, error) {
 			streams[f] = s
 		}
 
-		single, err := timeFeeders(streams, func() (feederSink, error) {
-			ct, err := core.NewConcurrent(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return func(int) func(uint64) { return ct.Add }, nil
-		})
+		single, err := timeFeeders(streams, cfg, 1)
 		if err != nil {
 			return ContendedResult{}, err
 		}
-		sharded, err := timeFeeders(streams, func() (feederSink, error) {
-			e, err := shard.New(cfg, feeders)
-			if err != nil {
-				return nil, err
-			}
-			return func(int) func(uint64) { return e.Handle().Add }, nil
-		})
+		sharded, err := timeFeeders(streams, cfg, feeders)
 		if err != nil {
 			return ContendedResult{}, err
 		}
@@ -86,15 +75,11 @@ func Contended(o Options) (ContendedResult, error) {
 	return r, nil
 }
 
-// feederSink builds one per-feeder Add function; for the sharded regime
-// each feeder gets its own pinned handle, for the single-lock regime all
-// feeders share the one locked tree.
-type feederSink func(feeder int) func(uint64)
-
-// timeFeeders runs one goroutine per stream through the sinks built by
-// mk and returns aggregate events/sec.
-func timeFeeders(streams [][]uint64, mk func() (feederSink, error)) (float64, error) {
-	sink, err := mk()
+// timeFeeders runs one goroutine per stream, each through its own pinned
+// handle on a fresh engine with the given shard count, and returns
+// aggregate events/sec.
+func timeFeeders(streams [][]uint64, cfg core.Config, shards int) (float64, error) {
+	e, err := shard.New(cfg, shards)
 	if err != nil {
 		return 0, err
 	}
@@ -104,15 +89,14 @@ func timeFeeders(streams [][]uint64, mk func() (feederSink, error)) (float64, er
 	}
 	var wg sync.WaitGroup
 	start := time.Now()
-	for f, s := range streams {
+	for _, s := range streams {
 		wg.Add(1)
-		go func(f int, s []uint64) {
+		go func(h *shard.Handle, s []uint64) {
 			defer wg.Done()
-			add := sink(f)
 			for _, v := range s {
-				add(v)
+				h.Add(v)
 			}
-		}(f, s)
+		}(e.Handle(), s)
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()

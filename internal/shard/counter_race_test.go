@@ -8,10 +8,10 @@ import (
 	"rap/internal/core"
 )
 
-// TestShardCounterPromotionEpochHammer is the sharded twin of the core
-// promotion hammer: weighted feeders drive counter-overflow promotions in
-// every shard while pinned epoch readers query the merged cut, under the
-// race detector. The merged epoch is built from shard clones; if a clone
+// TestShardCounterPromotionEpochHammer runs promotion-heavy weighted
+// feeders against pinned epoch readers: the feeders drive counter-overflow
+// promotions in every shard while the readers query the merged cut, under
+// the race detector. The merged epoch is built from shard clones; if a clone
 // aliased its donor's counter pools, the shards' concurrent promotions
 // would race the reads here.
 func TestShardCounterPromotionEpochHammer(t *testing.T) {

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -162,6 +164,74 @@ func TestQueryPathLockFree(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("query blocked on an engine lock: read path is not lock-free")
+	}
+}
+
+// TestQueryPathMutexProfile runs the contended write+query mix with
+// mutex profiling at full fraction and asserts no recorded contention
+// stack passes through the epoch query path. One shard makes every
+// writer share a single mutex, the worst case for a query that touched it.
+func TestQueryPathMutexProfile(t *testing.T) {
+	old := runtime.SetMutexProfileFraction(1)
+	defer runtime.SetMutexProfileFraction(old)
+
+	e, err := New(testConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.EnableReadSnapshots(512)
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := e.Handle()
+			for i := 0; i < 50_000; i++ {
+				h.Add(uint64(w*50_000+i) % (1 << 16))
+			}
+		}(w)
+	}
+	var qwg sync.WaitGroup
+	for q := 0; q < 4; q++ {
+		qwg.Add(1)
+		go func() {
+			defer qwg.Done()
+			for !stop.Load() {
+				e.Estimate(0, 1<<15)
+				e.EstimateBounds(0, 1<<15)
+				e.HotRanges(0.05)
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	qwg.Wait()
+
+	var records []runtime.BlockProfileRecord
+	for {
+		n, ok := runtime.MutexProfile(records)
+		if ok {
+			records = records[:n]
+			break
+		}
+		records = make([]runtime.BlockProfileRecord, n+64)
+	}
+	for _, rec := range records {
+		frames := runtime.CallersFrames(rec.Stack())
+		for {
+			f, more := frames.Next()
+			name := f.Function
+			if strings.Contains(name, "Engine).Estimate") ||
+				strings.Contains(name, "Engine).HotRanges") ||
+				strings.Contains(name, "Epoch).") ||
+				strings.Contains(name, "EpochPublisher).Acquire") {
+				t.Fatalf("mutex contention recorded on the query path: %s", name)
+			}
+			if !more {
+				break
+			}
+		}
 	}
 }
 

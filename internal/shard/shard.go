@@ -13,8 +13,10 @@
 //
 // Intended use: call Handle once per feeding goroutine and ingest through
 // it. A handle is pinned to one shard, so with at least as many shards as
-// feeders every Add takes an uncontended per-shard lock — the scalable
-// replacement for core.ConcurrentTree's single mutex.
+// feeders every Add takes an uncontended per-shard lock. With one shard
+// the engine is the single-lock profiler: every feeder shares one mutex,
+// and queries read the lone tree directly, since a union of one tree is
+// that tree.
 package shard
 
 import (
@@ -104,9 +106,17 @@ type Handle struct {
 }
 
 // Handle returns a new ingest handle (see Handle type).
-func (e *Engine) Handle() *Handle {
+func (e *Engine) Handle() *Handle { return &Handle{sh: e.pick(), eng: e} }
+
+// pick returns the next shard round-robin. With one shard it skips the
+// shared cursor: there is nothing to balance, and the atomic increment
+// and modulo would cost the single-lock engine's handle-free ingest.
+func (e *Engine) pick() *treeShard {
+	if len(e.shards) == 1 {
+		return e.shards[0]
+	}
 	i := e.next.Add(1) - 1
-	return &Handle{sh: e.shards[i%uint64(len(e.shards))], eng: e}
+	return e.shards[i%uint64(len(e.shards))]
 }
 
 // Reader returns a pinned consistent epoch spanning the whole engine
@@ -153,15 +163,14 @@ func (h *Handle) AddSorted(points []uint64) {
 }
 
 // Add records one occurrence of p on a round-robin shard. Handle-free
-// ingestion keeps the engine drop-in compatible with ConcurrentTree, at
+// ingestion lets the engine stand in wherever a Profiler is expected, at
 // the cost of bouncing the round-robin cursor between cores; hot loops
 // should hold a Handle instead.
 func (e *Engine) Add(p uint64) { e.AddN(p, 1) }
 
 // AddN records weight occurrences of p on a round-robin shard.
 func (e *Engine) AddN(p uint64, weight uint64) {
-	i := e.next.Add(1) - 1
-	sh := e.shards[i%uint64(len(e.shards))]
+	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddN(p, weight)
 	sh.mu.Unlock()
@@ -171,8 +180,7 @@ func (e *Engine) AddN(p uint64, weight uint64) {
 // AddBatch records a batch of points on one round-robin shard under a
 // single lock acquisition, through the tree's batched fast path.
 func (e *Engine) AddBatch(points []uint64) {
-	i := e.next.Add(1) - 1
-	sh := e.shards[i%uint64(len(e.shards))]
+	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddBatch(points)
 	sh.mu.Unlock()
@@ -182,8 +190,7 @@ func (e *Engine) AddBatch(points []uint64) {
 // AddSamples records a chunk of weighted events on one round-robin shard
 // under a single lock acquisition.
 func (e *Engine) AddSamples(samples []core.Sample) {
-	i := e.next.Add(1) - 1
-	sh := e.shards[i%uint64(len(e.shards))]
+	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddSamples(samples)
 	sh.mu.Unlock()
@@ -313,11 +320,35 @@ func (e *Engine) publishInto(p *core.EpochPublisher) {
 }
 
 // republish refreshes the current epoch after a wholesale tree swap
-// (Restore, AdoptShard); no-op when read snapshots are disabled.
+// (Restore, AdoptShard) or a final compaction (Finalize); no-op when read
+// snapshots are disabled.
 func (e *Engine) republish() {
 	if e.pub.Load() != nil {
 		e.PublishNow()
 	}
+}
+
+// current returns the published epoch queries answer from, or nil when
+// read snapshots are disabled.
+func (e *Engine) current() *core.Epoch {
+	if p := e.pub.Load(); p != nil {
+		return p.Current()
+	}
+	return nil
+}
+
+// live runs a query on the live profile: with one shard, on the lone tree
+// under its lock (a union of one tree is that tree, so no copy is
+// needed); otherwise on a fresh merged union.
+func (e *Engine) live(fn func(t *core.Tree)) {
+	if len(e.shards) == 1 {
+		sh := e.shards[0]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		fn(sh.tree)
+		return
+	}
+	fn(e.merged())
 }
 
 // merged builds a one-off union of all shard trees. Shards are folded in
@@ -347,14 +378,13 @@ func (e *Engine) MergedTree() *core.Tree { return e.merged() }
 // view. The undershoot is at most eps*N() for tracked ranges. With read
 // snapshots enabled it answers from the current epoch with zero lock
 // acquisitions (the lower bound stays valid for the live stream: shards
-// only grow); otherwise it builds a fresh merged view.
-func (e *Engine) Estimate(lo, hi uint64) uint64 {
-	if p := e.pub.Load(); p != nil {
-		if ep := p.Current(); ep != nil {
-			return ep.Estimate(lo, hi)
-		}
+// only grow); otherwise it queries the live profile (see live).
+func (e *Engine) Estimate(lo, hi uint64) (est uint64) {
+	if ep := e.current(); ep != nil {
+		return ep.Estimate(lo, hi)
 	}
-	return e.merged().Estimate(lo, hi)
+	e.live(func(t *core.Tree) { est = t.Estimate(lo, hi) })
+	return est
 }
 
 // EstimateBounds returns the bracketing estimates for [lo, hi] over the
@@ -362,25 +392,23 @@ func (e *Engine) Estimate(lo, hi uint64) uint64 {
 // stream as of the current epoch's cut (including the unadmitted ledger
 // at that cut), answered lock-free.
 func (e *Engine) EstimateBounds(lo, hi uint64) (low, high uint64) {
-	if p := e.pub.Load(); p != nil {
-		if ep := p.Current(); ep != nil {
-			return ep.EstimateBounds(lo, hi)
-		}
+	if ep := e.current(); ep != nil {
+		return ep.EstimateBounds(lo, hi)
 	}
-	return e.merged().EstimateBounds(lo, hi)
+	e.live(func(t *core.Tree) { low, high = t.EstimateBounds(lo, hi) })
+	return low, high
 }
 
 // HotRanges reports the ranges holding at least theta of the combined
 // stream, computed on the merged view so a range split across shards is
 // still found. Lock-free from the current epoch when read snapshots are
 // enabled.
-func (e *Engine) HotRanges(theta float64) []core.HotRange {
-	if p := e.pub.Load(); p != nil {
-		if ep := p.Current(); ep != nil {
-			return ep.HotRanges(theta)
-		}
+func (e *Engine) HotRanges(theta float64) (hot []core.HotRange) {
+	if ep := e.current(); ep != nil {
+		return ep.HotRanges(theta)
 	}
-	return e.merged().HotRanges(theta)
+	e.live(func(t *core.Tree) { hot = t.HotRanges(theta) })
+	return hot
 }
 
 // Merge folds a plain tree into one round-robin shard (see
@@ -388,8 +416,7 @@ func (e *Engine) HotRanges(theta float64) []core.HotRange {
 // shard's tap never observed, so the tap (if any) is notified via
 // TreeReplaced.
 func (e *Engine) Merge(other *core.Tree) error {
-	i := e.next.Add(1) - 1
-	sh := e.shards[i%uint64(len(e.shards))]
+	sh := e.pick()
 	sh.mu.Lock()
 	err := sh.tree.Merge(other)
 	if err == nil && sh.tap != nil {
@@ -450,7 +477,8 @@ func (e *Engine) ShardStats(i int) core.Stats {
 	return sh.tree.Stats()
 }
 
-// Finalize compacts every shard with a merge batch and returns the
+// Finalize compacts every shard with a merge batch, publishes a fresh
+// epoch so pinned readers see the finalized profile, and returns the
 // aggregated statistics.
 func (e *Engine) Finalize() core.Stats {
 	for _, sh := range e.shards {
@@ -458,6 +486,7 @@ func (e *Engine) Finalize() core.Stats {
 		sh.tree.MergeNow()
 		sh.mu.Unlock()
 	}
+	e.republish()
 	return e.Stats()
 }
 
@@ -626,8 +655,9 @@ func encodeSnapshot(snaps [][]byte) []byte {
 
 // Restore replaces every shard's contents from a snapshot previously
 // produced by Snapshot. The shard count must match (ErrShardCount
-// otherwise); installed hooks are re-applied to the fresh trees. On any
-// decode error the engine is left unchanged.
+// otherwise), and so must every shard tree's config
+// (core.ErrConfigMismatch); installed hooks are re-applied to the fresh
+// trees. On any decode error the engine is left unchanged.
 func (e *Engine) Restore(data []byte) error {
 	r := bytes.NewReader(data)
 	magic := make([]byte, 4)
@@ -655,6 +685,10 @@ func (e *Engine) Restore(data []byte) error {
 		var t core.Tree
 		if err := t.UnmarshalBinary(blob); err != nil {
 			return fmt.Errorf("shard %d snapshot: %w", i, err)
+		}
+		if t.Config() != e.cfg {
+			// Queries merge the shards, which needs one shared config.
+			return fmt.Errorf("shard %d snapshot: %w", i, core.ErrConfigMismatch)
 		}
 		trees[i] = &t
 	}

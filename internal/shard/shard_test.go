@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -123,58 +125,65 @@ func TestConcurrentIngestMatchesExact(t *testing.T) {
 
 // TestConcurrentQueriesDuringIngest runs queries and snapshots while
 // feeders are active; the race detector guards the locking discipline.
+// One shard covers the single-lock engine, whose queries read the live
+// tree under its lock instead of a merged copy.
 func TestConcurrentQueriesDuringIngest(t *testing.T) {
-	e, err := New(testConfig(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var feeders, querier sync.WaitGroup
-	stop := make(chan struct{})
-	for f := 0; f < 4; f++ {
-		feeders.Add(1)
-		go func(seed uint64) {
-			defer feeders.Done()
-			h := e.Handle()
-			rng := stats.NewSplitMix64(seed)
-			buf := make([]uint64, 64)
-			for i := 0; i < 200; i++ {
-				for j := range buf {
-					buf[j] = rng.Uint64n(1 << 16)
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			e, err := New(testConfig(), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var feeders, querier sync.WaitGroup
+			stop := make(chan struct{})
+			for f := 0; f < 4; f++ {
+				feeders.Add(1)
+				go func(seed uint64) {
+					defer feeders.Done()
+					h := e.Handle()
+					rng := stats.NewSplitMix64(seed)
+					buf := make([]uint64, 64)
+					for i := 0; i < 200; i++ {
+						for j := range buf {
+							buf[j] = rng.Uint64n(1 << 16)
+						}
+						h.AddBatch(buf)
+					}
+				}(uint64(f + 1))
+			}
+			querier.Add(1)
+			go func() {
+				defer querier.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					e.Estimate(0, 1<<12)
+					e.EstimateBounds(0, 1<<12)
+					e.HotRanges(0.1)
+					e.Stats()
+					if _, err := e.Snapshot(); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-				h.AddBatch(buf)
+			}()
+			// Engine-level (handle-free) ingestion in parallel with everything.
+			for i := 0; i < 1000; i++ {
+				e.Add(uint64(i % 512))
 			}
-		}(uint64(f + 1))
-	}
-	querier.Add(1)
-	go func() {
-		defer querier.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			e.Estimate(0, 1<<12)
-			e.HotRanges(0.1)
-			e.Stats()
-			if _, err := e.Snapshot(); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	// Engine-level (handle-free) ingestion in parallel with everything.
-	for i := 0; i < 1000; i++ {
-		e.Add(uint64(i % 512))
-	}
-	e.AddBatch([]uint64{1, 2, 3})
+			e.AddBatch([]uint64{1, 2, 3})
 
-	feeders.Wait()
-	close(stop)
-	querier.Wait()
+			feeders.Wait()
+			close(stop)
+			querier.Wait()
 
-	if got, want := e.N(), uint64(4*200*64+1003); got != want {
-		t.Fatalf("N = %d, want %d", got, want)
+			if got, want := e.N(), uint64(4*200*64+1003); got != want {
+				t.Fatalf("N = %d, want %d", got, want)
+			}
+		})
 	}
 }
 
@@ -271,6 +280,101 @@ func TestHooksSurviveRestore(t *testing.T) {
 	if agg := e.Stats(); uint64(splits) != agg.Splits {
 		t.Fatalf("hook count %d != aggregated splits %d", splits, agg.Splits)
 	}
+}
+
+// denyOdd refuses odd points, so admitted and refused mass interleave.
+type denyOdd struct{}
+
+func (denyOdd) Admit(p uint64, weight uint64, plen int) bool { return p&1 == 0 }
+func (denyOdd) Pulse(core.Stats)                             {}
+func (denyOdd) TreeReplaced()                                {}
+
+func TestAdmitterSurvivesRestore(t *testing.T) {
+	e, err := New(testConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetShardAdmitters(func(int) core.Admitter { return denyOdd{} })
+	for i := uint64(0); i < 100; i++ {
+		e.Add(i)
+	}
+	if e.UnadmittedN() != 50 {
+		t.Fatalf("ledger %d, want 50", e.UnadmittedN())
+	}
+	blob, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if e.UnadmittedN() != 50 {
+		t.Fatalf("ledger lost across restore: %d, want 50", e.UnadmittedN())
+	}
+	// The admitter must still gate the restored tree.
+	e.Add(1)
+	if e.UnadmittedN() != 51 {
+		t.Fatalf("admitter not reinstalled after restore: ledger %d, want 51", e.UnadmittedN())
+	}
+}
+
+// TestRestoreDropsLeafCache: a shard that batched before Restore must
+// keep batching correctly after, against a fresh control tree fed the
+// same way — the batched fast path's last-leaf cache must not survive
+// the tree swap.
+func TestRestoreDropsLeafCache(t *testing.T) {
+	cfg := testConfig()
+	donor, err := New(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor.AddBatch(zipfPoints(10, 20_000))
+	snap, err := donor.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := New(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AddBatch(zipfPoints(11, 20_000)) // leaves the leaf cache warm
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	cont := zipfPoints(12, 20_000)
+	e.AddBatch(cont)
+
+	donorShards, err := donor.SnapshotShards(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var control core.Tree
+	if err := control.UnmarshalBinary(donorShards[0]); err != nil {
+		t.Fatal(err)
+	}
+	control.AddBatch(cont)
+	want, err := control.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.SnapshotShards(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[0], want) {
+		t.Fatal("shard diverged from control after Restore")
+	}
+}
+
+// zipfPoints returns n skewed points over the 16-bit test universe.
+func zipfPoints(seed uint64, n int) []uint64 {
+	z := stats.NewZipf(stats.NewSplitMix64(seed), 1<<16, 1.2)
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = uint64(z.Rank())
+	}
+	return out
 }
 
 func TestSetShardHooksLabelsEachShard(t *testing.T) {

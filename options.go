@@ -13,7 +13,6 @@ type Option func(*builder)
 type builder struct {
 	cfg           Config
 	shards        int
-	concurrent    bool
 	sampleK       uint64
 	audit         *Auditor
 	admission     *Admission
@@ -73,9 +72,11 @@ func WithMergeEvery(n uint64) Option {
 	return func(b *builder) { b.cfg.MergeEvery = n }
 }
 
-// WithSharding selects the sharded engine with k shards (k <= 0 selects
-// GOMAXPROCS). Shards ingest in parallel without a shared lock; queries
-// merge the shard trees and keep the ε·n bound over the combined stream.
+// WithSharding selects the sharded engine with k shards (k must be >= 1).
+// Shards ingest in parallel without a shared lock; queries merge the
+// shard trees and keep the ε·n bound over the combined stream.
+// WithSharding(1) is the single-lock engine: one tree behind one mutex,
+// safe for concurrent use from any number of goroutines.
 func WithSharding(k int) Option {
 	return func(b *builder) {
 		if k <= 0 {
@@ -84,12 +85,6 @@ func WithSharding(k int) Option {
 		}
 		b.shards = k
 	}
-}
-
-// WithConcurrent selects the mutex-wrapped engine, safe for concurrent
-// use from any number of goroutines.
-func WithConcurrent() Option {
-	return func(b *builder) { b.concurrent = true }
 }
 
 // WithSampling applies deterministic 1-in-k sampling ahead of the tree;
@@ -104,17 +99,16 @@ func WithSampling(k uint64) Option {
 	}
 }
 
-// WithReadSnapshots enables the epoch-published read path on the
-// concurrent and sharded engines: the writer periodically publishes an
-// immutable snapshot of the profile, and Estimate/EstimateBounds/
-// HotRanges answer from the latest epoch with zero lock acquisitions —
-// queries never contend with ingest. every is the offered-event cadence
-// between publishes (0 selects the default, 64Ki events); the concurrent
-// engine additionally publishes after every merge batch. Answers lag the
-// live stream by at most one cadence; ReaderOf pins one epoch for
-// multi-query consistency. Only meaningful for WithConcurrent and
-// WithSharding — the single-goroutine and sampling engines have no
-// concurrent readers to decouple, so combining is rejected.
+// WithReadSnapshots enables the epoch-published read path on the sharded
+// engine: the writer periodically publishes an immutable snapshot of the
+// profile, and Estimate/EstimateBounds/HotRanges answer from the latest
+// epoch with zero lock acquisitions — queries never contend with ingest.
+// every is the offered-event cadence between publishes (0 selects the
+// default, 64Ki events); Finalize also publishes. Answers lag the live
+// stream by at most one cadence; ReaderOf pins one epoch for multi-query
+// consistency. Only meaningful with WithSharding — the single-goroutine
+// and sampling engines have no concurrent readers to decouple, so
+// combining is rejected.
 func WithReadSnapshots(every uint64) Option {
 	return func(b *builder) {
 		b.readSnapshots = true
@@ -177,10 +171,9 @@ func NewConfig(opts ...Option) (Config, error) {
 }
 
 // New builds a Profiler from functional options. Engine selection:
-// WithSharding picks the sharded engine, WithConcurrent the locked tree,
-// WithSampling(k>1) the sampling tree, otherwise the plain
-// single-goroutine Tree. Combinations that would stack engines
-// (sharding+concurrent, sharding+sampling, concurrent+sampling) are
+// WithSharding picks the sharded engine (WithSharding(1) the single-lock
+// one), WithSampling(k>1) the sampling tree, otherwise the plain
+// single-goroutine Tree. Sharding+sampling would stack engines and is
 // rejected rather than silently picking one.
 func New(opts ...Option) (Profiler, error) {
 	b, err := apply(opts)
@@ -192,15 +185,8 @@ func New(opts ...Option) (Profiler, error) {
 		return nil, err
 	}
 	sampling := b.sampleK > 1
-	modes := 0
-	for _, on := range []bool{b.shards > 0, b.concurrent, sampling} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return nil, fmt.Errorf("rap: options select %d engines (sharding=%v concurrent=%v sampling=%v); pick one",
-			modes, b.shards > 0, b.concurrent, sampling)
+	if b.shards > 0 && sampling {
+		return nil, errors.New("rap: WithSharding and WithSampling select two engines; pick one")
 	}
 	if b.audit != nil && sampling {
 		return nil, errors.New("rap: WithAudit cannot combine with WithSampling: scaled estimates are not bound to the tapped stream")
@@ -212,8 +198,6 @@ func New(opts ...Option) (Profiler, error) {
 	switch {
 	case b.shards > 0:
 		p, err = NewSharded(cfg, b.shards)
-	case b.concurrent:
-		p, err = NewConcurrent(cfg)
 	case sampling:
 		p, err = NewSampled(cfg, b.sampleK)
 	default:
@@ -237,14 +221,11 @@ func New(opts ...Option) (Profiler, error) {
 		}
 	}
 	if b.readSnapshots {
-		switch e := p.(type) {
-		case *Sharded:
-			e.EnableReadSnapshots(b.snapshotEvery)
-		case *ConcurrentTree:
-			e.EnableReadSnapshots(b.snapshotEvery)
-		default:
-			return nil, fmt.Errorf("rap: WithReadSnapshots: engine %T has no concurrent read path to decouple; use WithConcurrent or WithSharding", p)
+		e, ok := p.(*Sharded)
+		if !ok {
+			return nil, fmt.Errorf("rap: WithReadSnapshots: engine %T has no concurrent read path to decouple; use WithSharding", p)
 		}
+		e.EnableReadSnapshots(b.snapshotEvery)
 	}
 	return p, nil
 }

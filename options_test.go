@@ -64,14 +64,11 @@ func TestNewRejectsInvalid(t *testing.T) {
 	if _, err := rap.New(rap.WithSampling(0)); err == nil {
 		t.Fatal("WithSampling(0) accepted")
 	}
-	if _, err := rap.New(rap.WithSharding(2), rap.WithConcurrent()); err == nil {
-		t.Fatal("sharding+concurrent accepted")
-	}
 	if _, err := rap.New(rap.WithSharding(2), rap.WithSampling(8)); err == nil {
 		t.Fatal("sharding+sampling accepted")
 	}
-	if _, err := rap.New(rap.WithConcurrent(), rap.WithSampling(8)); err == nil {
-		t.Fatal("concurrent+sampling accepted")
+	if _, err := rap.New(rap.WithSharding(1), rap.WithSampling(8)); err == nil {
+		t.Fatal("single-lock sharding+sampling accepted")
 	}
 }
 
@@ -82,7 +79,7 @@ func TestNewEngineSelection(t *testing.T) {
 		want string
 	}{
 		{"default", nil, "*core.Tree"},
-		{"concurrent", []rap.Option{rap.WithConcurrent()}, "*core.ConcurrentTree"},
+		{"single-lock", []rap.Option{rap.WithSharding(1)}, "*shard.Engine"},
 		{"sampled", []rap.Option{rap.WithSampling(8)}, "*core.SampledTree"},
 		{"sampling-1-is-plain", []rap.Option{rap.WithSampling(1)}, "*core.Tree"},
 		{"sharded", []rap.Option{rap.WithSharding(2)}, "*shard.Engine"},
@@ -96,8 +93,6 @@ func TestNewEngineSelection(t *testing.T) {
 		switch p.(type) {
 		case *rap.Sharded:
 			got = "*shard.Engine"
-		case *rap.ConcurrentTree:
-			got = "*core.ConcurrentTree"
 		case *rap.SampledTree:
 			got = "*core.SampledTree"
 		case *rap.Tree:

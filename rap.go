@@ -20,20 +20,20 @@
 //	low, high := p.EstimateBounds(lo, hi)
 //	hot := p.HotRanges(0.10)
 //
-// New returns a Profiler backed by one of four engines, selected by
-// options: a plain single-goroutine Tree, a mutex-wrapped ConcurrentTree
-// (WithConcurrent), a SampledTree that applies 1-in-k sampling ahead of
-// the tree (WithSampling), or a Sharded engine that fans events across
-// per-shard trees and answers queries from their merged union
-// (WithSharding). All four satisfy Profiler; all estimates are lower
-// bounds with the paper's ε·n guarantee.
+// New returns a Profiler backed by one of three engines, selected by
+// options: a plain single-goroutine Tree, a SampledTree that applies
+// 1-in-k sampling ahead of the tree (WithSampling), or a Sharded engine
+// that fans events across per-shard trees and answers queries from their
+// merged union (WithSharding). WithSharding(1) is the single-lock
+// profiler: one tree behind one mutex, safe for concurrent use. All three
+// satisfy Profiler; all estimates are lower bounds with the paper's ε·n
+// guarantee.
 //
 // The ingest and query halves of that surface are the Writer and Reader
 // interfaces; Profiler is their (deprecated but fully supported) union.
-// With WithReadSnapshots the concurrent and sharded engines publish
-// immutable epoch snapshots and serve Reader queries from them without
-// taking any locks; ReaderOf pins the current Epoch for multi-query
-// consistency.
+// With WithReadSnapshots the sharded engine publishes immutable epoch
+// snapshots and serves Reader queries from them without taking any
+// locks; ReaderOf pins the current Epoch for multi-query consistency.
 //
 // Advanced callers can keep constructing engines directly from a Config
 // literal — the types here are aliases of the internal ones, so the two
@@ -71,15 +71,13 @@ type Sample = core.Sample
 // Tree is the core single-goroutine profiler.
 type Tree = core.Tree
 
-// ConcurrentTree is a Tree behind one mutex, safe for concurrent use.
-type ConcurrentTree = core.ConcurrentTree
-
 // SampledTree applies deterministic 1-in-k sampling ahead of a Tree and
 // scales estimates back up.
 type SampledTree = core.SampledTree
 
 // Sharded fans events across k per-shard trees (lock striping, pinned
-// Handles) and answers queries from their merged union.
+// Handles) and answers queries from their merged union. With k = 1 it is
+// a single tree behind one mutex.
 type Sharded = shard.Engine
 
 // Handle is a cheap per-goroutine ingest endpoint of a Sharded engine.
@@ -131,7 +129,7 @@ func NewAdmission(opts AdmissionOptions) *Admission { return admit.New(opts) }
 
 // attachAdmission installs the frontend's per-shard gates on a freshly
 // built engine: one gate per shard on the sharded engine, a single gate
-// otherwise. The sampling engine is rejected earlier, in New — its scaled
+// on the plain tree. The sampling engine is rejected earlier, in New — its scaled
 // estimates cannot absorb an unadmitted ledger.
 func attachAdmission(f *Admission, p Profiler, cfg Config, shards int) error {
 	gates := f.Gates(cfg.UniverseBits, shards)
@@ -141,8 +139,6 @@ func attachAdmission(f *Admission, p Profiler, cfg Config, shards int) error {
 	switch e := p.(type) {
 	case *Sharded:
 		e.SetShardAdmitters(func(i int) core.Admitter { return gates[i] })
-	case *ConcurrentTree:
-		e.SetAdmitter(gates[0])
 	case *Tree:
 		e.SetAdmitter(gates[0])
 	default:
@@ -152,7 +148,7 @@ func attachAdmission(f *Admission, p Profiler, cfg Config, shards int) error {
 }
 
 // attachAudit taps a freshly built engine for the auditor: one tap per
-// shard on the sharded engine, a single tap otherwise. Only engines whose
+// shard on the sharded engine, a single tap on the plain tree. Only engines whose
 // estimates should equal the tapped stream can be audited — the sampling
 // engine is rejected earlier, in New.
 func attachAudit(a *Auditor, p Profiler, cfg Config) error {
@@ -163,12 +159,6 @@ func attachAudit(a *Auditor, p Profiler, cfg Config) error {
 			return err
 		}
 		e.SetShardTaps(func(i int) core.Tap { return taps[i] })
-	case *ConcurrentTree:
-		taps, err := a.Attach(cfg, e, 1)
-		if err != nil {
-			return err
-		}
-		e.SetTap(taps[0])
 	case *Tree:
 		taps, err := a.Attach(cfg, e, 1)
 		if err != nil {
@@ -204,19 +194,16 @@ func NewTree(cfg Config) (*Tree, error) { return core.New(cfg) }
 // MustNewTree is NewTree, panicking on an invalid Config.
 func MustNewTree(cfg Config) *Tree { return core.MustNew(cfg) }
 
-// NewConcurrent builds the mutex-wrapped engine from an explicit Config.
-func NewConcurrent(cfg Config) (*ConcurrentTree, error) { return core.NewConcurrent(cfg) }
-
 // NewSampled builds a 1-in-k sampling engine from an explicit Config.
 func NewSampled(cfg Config, k uint64) (*SampledTree, error) { return core.NewSampled(cfg, k) }
 
 // NewSharded builds a k-shard engine from an explicit Config; k <= 0
-// selects GOMAXPROCS shards.
+// selects GOMAXPROCS shards, and k = 1 the single-lock engine.
 func NewSharded(cfg Config, k int) (*Sharded, error) { return shard.New(cfg, k) }
 
 // Writer is the ingest surface every engine satisfies: feeding events
 // in, serializing state out. Engines that support structural folding
-// (Tree, ConcurrentTree, Sharded) additionally expose Merge with
+// (Tree, Sharded) additionally expose Merge with
 // engine-specific signatures; it is not part of Writer because the
 // sampling engine's scaled units have no coherent merge.
 type Writer interface {
@@ -239,10 +226,9 @@ type Writer interface {
 // Reader is the query surface every engine satisfies. Estimates are
 // lower bounds: for any tracked range the true count is in
 // [Estimate, Estimate+ε·n]. An Epoch — the pinned consistent snapshot
-// returned by ReaderOf, Handle.Reader, ConcurrentTree.Reader, and
-// Sharded.Reader — is also a Reader, so query code can be written once
-// against this interface and served either live or from a published
-// epoch.
+// returned by ReaderOf, Handle.Reader, and Sharded.Reader — is also a
+// Reader, so query code can be written once against this interface and
+// served either live or from a published epoch.
 type Reader interface {
 	// Estimate returns the lower-bound count for [lo, hi].
 	Estimate(lo, hi uint64) uint64
@@ -259,7 +245,7 @@ type Reader interface {
 // Profiler is the combined ingest+query surface every engine satisfies.
 //
 // Deprecated: Profiler remains fully supported — every method keeps its
-// exact signature and the four engines keep satisfying it — but new code
+// exact signature and the three engines keep satisfying it — but new code
 // should hold the narrower Writer and Reader facets: ingest loops a
 // Writer, dashboards a Reader (or a pinned Epoch via ReaderOf for
 // multi-query consistency). The split is what makes the epoch read path
@@ -270,9 +256,8 @@ type Profiler interface {
 }
 
 // Epoch is one immutable published snapshot of a profile: a consistent
-// cut served without locks. Obtain one from ReaderOf, Handle.Reader,
-// ConcurrentTree.Reader, or Sharded.Reader; query it like any Reader;
-// Release it when done. See WithReadSnapshots.
+// cut served without locks. Obtain one from ReaderOf, Handle.Reader, or
+// Sharded.Reader; query it like any Reader; Release it when done. See WithReadSnapshots.
 type Epoch = core.Epoch
 
 // EpochPublisher owns the epoch lifecycle of one engine (publish,
@@ -281,14 +266,12 @@ type Epoch = core.Epoch
 type EpochPublisher = core.EpochPublisher
 
 // ReaderOf returns a pinned consistent epoch for engines with a
-// consistent-cut read path (*ConcurrentTree, *Sharded: lock-free when
+// consistent-cut read path (*Sharded: lock-free when
 // WithReadSnapshots is enabled, a one-off cut otherwise; *Tree: a
 // detached clone). The caller must Release the epoch. ok is false for
 // engines without consistent cuts (the sampling engine).
 func ReaderOf(p Reader) (e *Epoch, ok bool) {
 	switch eng := p.(type) {
-	case *ConcurrentTree:
-		return eng.Reader(), true
 	case *Sharded:
 		return eng.Reader(), true
 	case *Tree:
@@ -302,7 +285,6 @@ func ReaderOf(p Reader) (e *Epoch, ok bool) {
 // surface. Repeated in rap_test.go where they gate the test build.
 var (
 	_ Profiler = (*Tree)(nil)
-	_ Profiler = (*ConcurrentTree)(nil)
 	_ Profiler = (*SampledTree)(nil)
 	_ Profiler = (*Sharded)(nil)
 	_ Reader   = (*Epoch)(nil)

@@ -11,7 +11,6 @@ import (
 // interface — the facade's core contract.
 var (
 	_ rap.Profiler = (*rap.Tree)(nil)
-	_ rap.Profiler = (*rap.ConcurrentTree)(nil)
 	_ rap.Profiler = (*rap.SampledTree)(nil)
 	_ rap.Profiler = (*rap.Sharded)(nil)
 )
@@ -79,7 +78,7 @@ func TestProfilerPolymorphism(t *testing.T) {
 	}{
 		{"tree", func() (rap.Profiler, error) { return rap.New(rap.WithUniverse(1<<16), rap.WithEpsilon(0.05)) }},
 		{"concurrent", func() (rap.Profiler, error) {
-			return rap.New(rap.WithUniverse(1<<16), rap.WithEpsilon(0.05), rap.WithConcurrent())
+			return rap.New(rap.WithUniverse(1<<16), rap.WithEpsilon(0.05), rap.WithSharding(1))
 		}},
 		{"sampled", func() (rap.Profiler, error) {
 			return rap.New(rap.WithUniverse(1<<16), rap.WithEpsilon(0.05), rap.WithSampling(4))

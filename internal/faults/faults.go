@@ -137,7 +137,7 @@ func (s *Source) Next() (trace.Event, bool) {
 		s.err = s.FailErr
 		return trace.Event{}, false
 	}
-	if s.StallFor > 0 && (s.StallEvery == 0 || (s.n+1)%s.StallEvery == 0) {
+	if s.stallsNext() {
 		time.Sleep(s.StallFor)
 	}
 	e, ok := s.S.Next()
@@ -154,6 +154,26 @@ func (s *Source) Next() (trace.Event, bool) {
 
 // Err returns the injected (or underlying) stream error, nil on clean EOF.
 func (s *Source) Err() error { return s.err }
+
+// Buffered forwards S's Buffered (see trace.Reader.Buffered), so the
+// wrapper stays transparent to consumers that send a partial batch before
+// a read that may block. It reports 0 before an injected stall. When S
+// does not implement Buffered it reports 1: consumers then read the
+// wrapper as they would read S, as a source that never blocks.
+func (s *Source) Buffered() int {
+	if s.stallsNext() {
+		return 0
+	}
+	if b, ok := s.S.(interface{ Buffered() int }); ok {
+		return b.Buffered()
+	}
+	return 1
+}
+
+// stallsNext reports whether the next Next sleeps for an injected stall.
+func (s *Source) stallsNext() bool {
+	return s.StallFor > 0 && (s.StallEvery == 0 || (s.n+1)%s.StallEvery == 0)
+}
 
 // sourceErr surfaces the underlying source's error, if it exposes one.
 func sourceErr(s trace.Source) error {

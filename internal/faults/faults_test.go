@@ -192,3 +192,31 @@ func TestSourceStallAndCorrupt(t *testing.T) {
 		t.Fatalf("two stalls finished in %v", d)
 	}
 }
+
+// TestSourceBuffered checks the Buffered a wrapped source reports: S's
+// own when it has one, 1 when it has none, and 0 before an injected
+// stall, when the next Next will sleep.
+func TestSourceBuffered(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for i := 0; i < 30; i++ {
+		w.Write(trace.Event{Value: 1 << 40, Weight: 1})
+	}
+	w.Flush()
+	r := trace.NewReader(&buf)
+	wrapped := &Source{S: r}
+	if _, ok := wrapped.Next(); !ok {
+		t.Fatal("wrapped reader yielded no event")
+	}
+	if got, want := wrapped.Buffered(), r.Buffered(); got != want || want < 2 {
+		t.Fatalf("Buffered = %d, want the reader's %d", got, want)
+	}
+
+	src := &Source{S: trace.NewSliceSource([]uint64{1, 2, 3}), StallEvery: 2, StallFor: time.Millisecond}
+	for i, want := range []int{1, 0, 1} {
+		if got := src.Buffered(); got != want {
+			t.Fatalf("before event %d: Buffered = %d, want %d", i+1, got, want)
+		}
+		src.Next()
+	}
+}

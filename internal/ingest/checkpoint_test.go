@@ -2,12 +2,15 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"rap/internal/core"
 )
 
 // logCapture collects Logf lines for assertions.
@@ -203,6 +206,27 @@ func TestShardCountChangeRejected(t *testing.T) {
 	opts.Shards = 3
 	if _, err := Open(opts, []SourceSpec{sliceSpec("s", nil)}); err == nil {
 		t.Fatal("Open accepted a checkpoint with a different shard count")
+	}
+}
+
+// TestCheckpointUnderOtherConfigRefused restores a checkpoint written at
+// ε=0.05 into an ingestor built at ε=0.01 with read snapshots on, as rapd
+// runs by default. Merging the shards for the first epoch would panic, so
+// Open must refuse the checkpoint with ErrConfigMismatch and leave it in
+// place: starting fresh would silently drop the recovered mass.
+func TestCheckpointUnderOtherConfigRefused(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions(2)
+	opts.CheckpointDir = dir
+	runToCompletion(t, opts, []SourceSpec{sliceSpec("s", zipfVals(1_000, 9))})
+
+	opts.Tree.Epsilon = 0.01
+	opts.ReadSnapshots = true
+	if _, err := Open(opts, []SourceSpec{sliceSpec("s", nil)}); !errors.Is(err, core.ErrConfigMismatch) {
+		t.Fatalf("Open over a checkpoint of another config = %v, want ErrConfigMismatch", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ckName)); err != nil {
+		t.Fatalf("refused checkpoint was moved aside: %v", err)
 	}
 }
 

@@ -75,20 +75,25 @@ type Options struct {
 	// (default 64).
 	QueueLen int
 
-	// BatchLen is how many events a reader coalesces per queue entry
-	// (default 256).
+	// BatchLen is how many events a reader decodes into one chunk, the
+	// unit handed to the pump and queued for the shard (default 256).
 	BatchLen int
 
-	// FlushEvery bounds how long a partial batch may sit in a reader
+	// FlushEvery bounds how long a partial chunk may sit in a reader
 	// before being enqueued anyway (default 50ms), keeping live sources
-	// fresh without giving up batching.
+	// fresh without giving up batching. The reader checks it between
+	// reads, every few dozen events; a source that reports Buffered
+	// (see SourceSpec) has its partial chunk sent before any read that
+	// may block, so a quiet live stream never waits on this bound.
 	FlushEvery time.Duration
 
 	// Drop selects the overload policy (default Block).
 	Drop DropPolicy
 
 	// ReadTimeout, when > 0, bounds how long a single source read may
-	// take before the source is declared stalled and reopened.
+	// take before the source is declared stalled and reopened. Time the
+	// pipeline spends blocked on a full shard queue is backpressure, not
+	// a stall, and never counts toward it.
 	ReadTimeout time.Duration
 
 	// MaxRetries is how many consecutive failed attempts (open errors,
@@ -273,10 +278,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// batch is one queue entry: a run of events from a single source.
+// batch is one queue entry: a reader's chunk of events from a single
+// source, already in the tree's sample form.
 type batch struct {
 	src    *sourceState
-	events []trace.Event
+	events []core.Sample
 
 	// enqueuedAt is stamped by enqueue when latency metrics or tracing are
 	// enabled, so the drain can observe the queue-wait stage. Zero when
@@ -304,11 +310,11 @@ type sourceState struct {
 	spec  SourceSpec
 	queue *shardQueue
 
-	// consumed is the reader-local stream position: events read from the
+	// consumed is the source's stream position: events read from the
 	// source and handed off (enqueued or dropped), including the resume
-	// base restored from a checkpoint. Only the reader goroutine touches
+	// base restored from a checkpoint. Only the supervising pump touches
 	// it, so reopening after a failure can skip exactly this many events
-	// without racing the appliers.
+	// without racing the appliers or an abandoned reader.
 	consumed uint64
 
 	// applied counts events of this source applied to the shard tree;
@@ -371,6 +377,12 @@ type Ingestor struct {
 	aud     *audit.Auditor
 	adm     *admit.Frontend
 
+	// free recycles applied and dropped chunks back to the readers, so
+	// steady-state ingest does not allocate one per batch. It holds as
+	// many chunks as the shard queues can, so a drained backlog is kept
+	// for reuse rather than collected.
+	free chan []core.Sample
+
 	// Per-stage latency histograms, nil unless Metrics is configured.
 	hQueueWait *obs.Histogram   // enqueue → drain wait per batch
 	hApply     []*obs.Histogram // drain → applied, per shard
@@ -418,7 +430,12 @@ func Open(opts Options, specs []SourceSpec) (*Ingestor, error) {
 		seen[s.Name] = true
 	}
 
-	in := &Ingestor{opts: opts, log: opts.Logger, openedAt: time.Now()}
+	in := &Ingestor{
+		opts:     opts,
+		log:      opts.Logger,
+		free:     make(chan []core.Sample, opts.Shards*opts.QueueLen),
+		openedAt: time.Now(),
+	}
 	engine, err := shard.New(opts.Tree, opts.Shards)
 	if err != nil {
 		return nil, err
@@ -676,6 +693,15 @@ func (in *Ingestor) restore(st *checkpointState) error {
 			len(st.trees), in.engine.Shards())
 	}
 	for i, tr := range st.trees {
+		// Queries and epoch publishes merge the shards, which needs one
+		// shared config. Refuse rather than start fresh: a fresh start would
+		// silently drop the recovered mass.
+		if tr.Config() != in.engine.Config() {
+			return fmt.Errorf("ingest: checkpoint shard %d was written under config %+v, ingestor has %+v: %w",
+				i, tr.Config(), in.engine.Config(), core.ErrConfigMismatch)
+		}
+	}
+	for i, tr := range st.trees {
 		in.engine.AdoptShard(i, tr)
 	}
 	byName := make(map[string]sourcePos, len(st.sources))
@@ -702,9 +728,9 @@ func (in *Ingestor) restore(st *checkpointState) error {
 // apply folds one batch into the engine under its shard's lock, advancing
 // the source's applied position in the same critical section so
 // checkpoint cuts stay exact. The whole chunk is handed to the tree's
-// batched fast path; scratch is the worker-local conversion buffer,
-// returned for reuse so steady-state draining does not allocate.
-func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.Sample {
+// batched fast path, then recycled to the readers.
+func (in *Ingestor) apply(q *shardQueue, b batch) {
+	defer in.putChunk(b.events)
 	var start time.Time
 	if in.hApply != nil || b.sp != nil {
 		start = time.Now()
@@ -724,10 +750,6 @@ func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.
 		pubBefore = pub.Published()
 	}
 
-	scratch = scratch[:0]
-	for _, e := range b.events {
-		scratch = append(scratch, core.Sample{Value: e.Value, Weight: e.Weight})
-	}
 	in.engine.WithShard(q.idx, func(tr *core.Tree) {
 		if sampled {
 			mergesBefore = tr.Stats().MergeBatches
@@ -736,7 +758,7 @@ func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.
 		// the admission gate refused from it — both reads happen under the
 		// same shard lock as the gate, so the attribution is exact.
 		before := tr.UnadmittedN()
-		tr.AddSamples(scratch)
+		tr.AddSamples(b.events)
 		b.src.applied += uint64(len(b.events))
 		b.src.unadmitted += tr.UnadmittedN() - before
 		if sampled {
@@ -745,7 +767,7 @@ func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.
 	})
 
 	if in.hApply == nil && b.sp == nil {
-		return scratch
+		return
 	}
 	end := time.Now()
 	applyDur := end.Sub(start)
@@ -756,7 +778,7 @@ func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.
 		if in.aApply != nil {
 			in.aApply.Observe(applyDur)
 		}
-		return scratch
+		return
 	}
 
 	ap := in.opts.Tracer.StartChildAt(b.sp.Context(), "apply", start)
@@ -791,7 +813,6 @@ func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.
 	b.sp.SetAttr("source", b.src.spec.Name)
 	b.sp.SetAttr("events", strconv.Itoa(len(b.events)))
 	b.sp.EndAt(end)
-	return scratch
 }
 
 // observeQueueWait records the enqueue→drain wait on the fixed and
@@ -827,9 +848,8 @@ func (in *Ingestor) Run(ctx context.Context) error {
 		workers.Add(1)
 		go func(q *shardQueue) {
 			defer workers.Done()
-			scratch := make([]core.Sample, 0, in.opts.BatchLen)
 			for b := range q.ch {
-				scratch = in.apply(q, b, scratch)
+				in.apply(q, b)
 			}
 		}(q)
 	}
@@ -1060,105 +1080,124 @@ func (in *Ingestor) supervise(ctx context.Context, ss *sourceState) {
 	}
 }
 
-// pump drains one opened source into the shard queue, skipping the events
-// already accounted for by ss.consumed (crash recovery or a mid-stream
-// reopen). Reads run in a helper goroutine so a stalled source can be
-// detected and abandoned; the helper exits once the source unblocks or is
-// closed. pump reports whether any new events were handed off, and returns
-// nil only on clean EOF.
+// flushCheck is how many events a reader decodes between checks of a
+// partial chunk's age against FlushEvery.
+const flushCheck = 32
+
+// pump drains one opened source into the shard queue. Its reader
+// goroutine (read) skips the events ss.consumed already accounts for
+// (crash recovery or a mid-stream reopen) and hands over whole chunks,
+// which pump enqueues. One ticker watches the reader's count of completed
+// reads: none within ReadTimeout is a stall, and the source is abandoned
+// (the reader exits once the source unblocks or is closed). Each handoff
+// restarts the stall clock, so time blocked in enqueue is backpressure,
+// never a stall. pump reports whether any new events were handed off, and
+// returns nil only on clean EOF.
 func (in *Ingestor) pump(ctx context.Context, ss *sourceState, src trace.Source) (progressed bool, err error) {
-	type fetched struct {
-		e  trace.Event
-		ok bool
-	}
-	items := make(chan fetched)
+	chunks := make(chan []core.Sample)
 	stop := make(chan struct{})
 	defer close(stop)
-	go func() {
-		defer close(items)
-		for {
-			e, ok := src.Next()
-			select {
-			case items <- fetched{e, ok}:
-				if !ok {
-					return
-				}
-			case <-stop:
-				return
-			}
-		}
-	}()
+	var reads atomic.Uint64
+	go in.read(src, ss.consumed, chunks, stop, &reads)
 
-	skip := ss.consumed
-	pending := make([]trace.Event, 0, in.opts.BatchLen)
-	flush := func() bool {
-		if len(pending) == 0 {
-			return true
-		}
-		evs := pending
-		pending = make([]trace.Event, 0, in.opts.BatchLen)
-		return in.enqueue(ctx, ss, evs)
-	}
-
-	flushT := time.NewTimer(in.opts.FlushEvery)
-	flushT.Stop()
-	defer flushT.Stop()
 	var stallC <-chan time.Time
-	var stallT *time.Timer
 	if in.opts.ReadTimeout > 0 {
-		stallT = time.NewTimer(in.opts.ReadTimeout)
-		defer stallT.Stop()
-		stallC = stallT.C
+		tick := time.NewTicker(max(in.opts.ReadTimeout/4, time.Millisecond))
+		defer tick.Stop()
+		stallC = tick.C
 	}
-
+	seen, seenAt := reads.Load(), time.Now()
 	for {
 		select {
-		case it := <-items:
-			if !it.ok {
-				if !flush() {
-					return progressed, ctx.Err()
-				}
-				if serr := sourceErr(src); serr != nil {
-					return progressed, serr
-				}
-				return progressed, nil
+		case evs, more := <-chunks:
+			if !more {
+				return progressed, sourceErr(src)
 			}
-			if stallT != nil {
-				stallT.Reset(in.opts.ReadTimeout)
-			}
-			if skip > 0 {
-				skip--
-				continue
-			}
-			pending = append(pending, it.e)
-			progressed = true
-			if len(pending) >= in.opts.BatchLen {
-				if !flush() {
-					return progressed, ctx.Err()
-				}
-			} else if len(pending) == 1 {
-				flushT.Reset(in.opts.FlushEvery)
-			}
-		case <-flushT.C:
-			if !flush() {
+			if !in.enqueue(ctx, ss, evs) {
 				return progressed, ctx.Err()
 			}
+			progressed = true
+			seen, seenAt = reads.Load(), time.Now()
 		case <-stallC:
-			flush()
-			return progressed, fmt.Errorf("%w after %v", ErrStalled, in.opts.ReadTimeout)
+			if r := reads.Load(); r != seen {
+				seen, seenAt = r, time.Now()
+			} else if time.Since(seenAt) >= in.opts.ReadTimeout {
+				return progressed, fmt.Errorf("%w after %v", ErrStalled, in.opts.ReadTimeout)
+			}
 		case <-ctx.Done():
-			flush()
 			return progressed, ctx.Err()
 		}
 	}
 }
 
-// enqueue hands a batch to the source's shard under the configured
-// overload policy, advancing the reader-local stream position for both
+// read is a pump's source reader. It counts every completed read in
+// reads, skips the first skip events, and decodes the rest into BatchLen
+// chunks for the pump. A partial chunk goes out before a Next that may
+// block (the source's Buffered reports 0) and once FlushEvery has passed
+// since its first event. read closes out after the source's last chunk,
+// and returns early once stop closes; an unsent chunk was never counted
+// in consumed, so its events are read again after a reopen.
+func (in *Ingestor) read(src trace.Source, skip uint64, out chan<- []core.Sample, stop <-chan struct{}, reads *atomic.Uint64) {
+	defer close(out)
+	buffered, _ := src.(interface{ Buffered() int })
+	evs := in.getChunk()
+	var first time.Time
+	for {
+		e, ok := src.Next()
+		reads.Add(1)
+		if skip > 0 && ok {
+			skip--
+			continue
+		}
+		if ok {
+			if len(evs) == 0 {
+				first = time.Now()
+			}
+			evs = append(evs, core.Sample{Value: e.Value, Weight: e.Weight})
+			if len(evs) < in.opts.BatchLen && (buffered == nil || buffered.Buffered() > 0) &&
+				(len(evs)%flushCheck != 0 || time.Since(first) < in.opts.FlushEvery) {
+				continue
+			}
+		}
+		if len(evs) > 0 {
+			select {
+			case out <- evs:
+			case <-stop:
+				return
+			}
+		}
+		if !ok {
+			return
+		}
+		evs = in.getChunk()
+	}
+}
+
+// getChunk returns an empty chunk of BatchLen capacity, recycled when one
+// is free.
+func (in *Ingestor) getChunk() []core.Sample {
+	select {
+	case c := <-in.free:
+		return c[:0]
+	default:
+		return make([]core.Sample, 0, in.opts.BatchLen)
+	}
+}
+
+// putChunk offers an applied or dropped chunk for reuse.
+func (in *Ingestor) putChunk(c []core.Sample) {
+	select {
+	case in.free <- c:
+	default:
+	}
+}
+
+// enqueue hands a chunk to the source's shard under the configured
+// overload policy, advancing the source's stream position for both
 // delivered and dropped events. It returns false only when a Block-policy
 // enqueue was abandoned because ctx ended (those events stay uncounted and
 // are replayed on the next run).
-func (in *Ingestor) enqueue(ctx context.Context, ss *sourceState, evs []trace.Event) bool {
+func (in *Ingestor) enqueue(ctx context.Context, ss *sourceState, evs []core.Sample) bool {
 	b := batch{src: ss, events: evs}
 	if in.hQueueWait != nil || in.opts.Tracer != nil {
 		b.enqueuedAt = time.Now()
@@ -1170,6 +1209,7 @@ func (in *Ingestor) enqueue(ctx context.Context, ss *sourceState, evs []trace.Ev
 		case ss.queue.ch <- b:
 		default:
 			ss.dropped.Add(n)
+			in.putChunk(evs)
 		}
 		ss.consumed += n
 		return true

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -240,6 +241,101 @@ func TestIngestStallDetectedAndReopened(t *testing.T) {
 	st := in.Stats()
 	if st.Sources[0].Retries == 0 || !strings.Contains(st.Sources[0].LastErr, "stalled") {
 		t.Fatalf("stall not recorded in stats: %+v", st.Sources[0])
+	}
+}
+
+// TestBackpressureIsNotAStall holds the only shard far past ReadTimeout
+// while a healthy source feeds a one-batch queue. The pump spends that
+// time blocked on the full queue, which is backpressure: the source must
+// not be declared stalled and reopened.
+func TestBackpressureIsNotAStall(t *testing.T) {
+	const total = 200_000
+	opts := testOptions(1)
+	opts.QueueLen = 1
+	opts.BatchLen = 64
+	opts.ReadTimeout = 20 * time.Millisecond
+	in, err := Open(opts, []SourceSpec{sliceSpec("steady", zipfVals(total, 13))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan struct{})
+	go in.Engine().WithShard(0, func(*core.Tree) {
+		close(held)
+		time.Sleep(200 * time.Millisecond)
+	})
+	<-held
+	if err := in.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := in.Stats().Sources[0]
+	if got := in.N(); got != total || st.Retries != 0 {
+		t.Fatalf("N = %d, retries %d (last error %q); want %d and no retry",
+			got, st.Retries, st.LastErr, total)
+	}
+}
+
+// TestLivePipeEventsStayFresh leaves a live pipe open after fewer than
+// BatchLen events: they must reach the tree within FlushEvery while the
+// reader waits on the pipe, directly and through a faults.Source wrapper
+// (which must forward trace.Reader's Buffered). Closing the pipe then
+// ends the source with every event applied.
+func TestLivePipeEventsStayFresh(t *testing.T) {
+	for _, wrapped := range []bool{false, true} {
+		name := "reader"
+		if wrapped {
+			name = "faults-wrapped"
+		}
+		t.Run(name, func(t *testing.T) {
+			pr, pw := io.Pipe()
+			spec := ReaderSource("live", pr)
+			if wrapped {
+				open := spec.Open
+				spec.Open = func() (trace.Source, error) {
+					src, err := open()
+					if err != nil {
+						return nil, err
+					}
+					return &faults.Source{S: src}, nil
+				}
+			}
+			in, err := Open(testOptions(1), []SourceSpec{spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- in.Run(context.Background()) }()
+
+			tw := trace.NewWriter(pw)
+			write := func(n int) {
+				for i := 0; i < n; i++ {
+					if err := tw.Write(trace.Event{Value: uint64(i), Weight: 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first := in.opts.BatchLen / 4
+			write(first)
+			deadline := time.Now().Add(in.opts.FlushEvery + 2*time.Second)
+			for in.N() < uint64(first) {
+				if time.Now().After(deadline) {
+					pw.Close()
+					t.Fatalf("N = %d of %d events written to an open pipe after %v",
+						in.N(), first, in.opts.FlushEvery+2*time.Second)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			write(1000)
+			pw.Close()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if got, want := in.N(), uint64(first+1000); got != want {
+				t.Fatalf("N = %d after the pipe closed, want %d", got, want)
+			}
+		})
 	}
 }
 

@@ -15,6 +15,16 @@ import (
 // accounted for. A source whose Open cannot restart from the beginning (a
 // pipe, a socket) still works, but loses the events between the last
 // checkpoint and the crash — see ReaderSource.
+//
+// A source may implement Buffered() int to report whether its next Next
+// can block: a positive value promises it will not, 0 says it may (a
+// live pipe waiting on its writer). The reader then sends its partial
+// chunk before that Next, so a quiet live stream's events stay visible
+// without waiting for FlushEvery. trace.Reader implements it, and so
+// FileSource and ReaderSource do; a wrapping source should forward its
+// inner source's Buffered. A source without Buffered is read as one that
+// never blocks, and only FlushEvery bounds how long its partial chunks
+// wait.
 type SourceSpec struct {
 	Name string
 	Open func() (trace.Source, error)

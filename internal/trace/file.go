@@ -123,6 +123,35 @@ func (tr *Reader) Next() (Event, bool) {
 // Err returns the first decode error encountered, or nil on clean EOF.
 func (tr *Reader) Err() error { return tr.err }
 
+// Buffered reports how many bytes the Reader has read ahead of its
+// decoding, or 0 when they may not hold a whole event. While Buffered is
+// positive, Next returns without reading from the underlying io.Reader,
+// so it cannot block; a consumer that batches events from a live stream
+// sends its partial batch before calling Next at Buffered 0.
+func (tr *Reader) Buffered() int {
+	if !tr.opened {
+		return 0
+	}
+	n := tr.r.Buffered()
+	if n >= 2*binary.MaxVarintLen64 {
+		return n
+	}
+	// A short tail holds a whole event only if both varints end in it: a
+	// varint's last byte has the high bit clear. Peeking at bytes already
+	// buffered cannot fail.
+	tail, _ := tr.r.Peek(n)
+	ends := 0
+	for _, c := range tail {
+		if c < 0x80 {
+			ends++
+		}
+	}
+	if ends < 2 {
+		return 0
+	}
+	return n
+}
+
 // WriteText renders events as "hexvalue weight" lines, the
 // post-processing-friendly ASCII form.
 func WriteText(w io.Writer, src Source) error {

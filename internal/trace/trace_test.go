@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,4 +268,117 @@ func (s *staticSource) Next() (Event, bool) {
 	e := s.events[s.pos]
 	s.pos++
 	return e, true
+}
+
+// encodeTrace writes events with a Writer and returns the bytes.
+func encodeTrace(t testing.TB, events []Event) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, e := range events {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// guardedReader delivers at most step bytes per Read and fails the test
+// if it is read while armed, that is, during a Next that Buffered
+// promised would not touch the stream.
+type guardedReader struct {
+	t     *testing.T
+	data  []byte
+	step  int
+	armed bool
+}
+
+func (g *guardedReader) Read(p []byte) (int, error) {
+	if g.armed {
+		g.t.Fatal("Next read the stream although Buffered promised it would not")
+	}
+	if len(g.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), g.step)], g.data)
+	g.data = g.data[n:]
+	return n, nil
+}
+
+// FuzzTraceReader feeds arbitrary bytes, delivered in reads of fuzzed
+// size, to the binary trace decoder, rapd's main untrusted input. Next
+// must terminate without panicking and end in either a clean EOF or a
+// non-nil Err; Buffered never goes negative, and while it is positive
+// Next must not read the stream. Whatever decodes must survive a Writer
+// round trip unchanged.
+func FuzzTraceReader(f *testing.F) {
+	seeds := [][]Event{
+		nil,
+		{{0, 1}},
+		{{0, 0}, {^uint64(0), ^uint64(0)}, {300, 7}, {1 << 40, 1 << 20}},
+	}
+	long := make([]Event, 200)
+	for i := range long {
+		long[i] = Event{Value: uint64(i) * 0x9e3779b97f4a7c15 >> (i % 64), Weight: uint64(1 + i%3)}
+	}
+	seeds = append(seeds, long)
+	for _, evs := range seeds {
+		data := encodeTrace(f, evs)
+		r := NewReader(bytes.NewReader(data))
+		got := Collect(r)
+		if r.Err() != nil || len(got) != len(evs) {
+			f.Fatalf("seed of %d events decoded to %d, err %v", len(evs), len(got), r.Err())
+		}
+		for i := range evs {
+			if got[i] != evs[i] {
+				f.Fatalf("seed event %d decoded to %v, want %v", i, got[i], evs[i])
+			}
+		}
+		f.Add(data, uint8(0))
+		f.Add(data, uint8(3))
+	}
+	f.Add([]byte("RAPS"), uint8(1))
+	f.Add([]byte("RAPS\x02\x01\x01"), uint8(0))
+	f.Add([]byte("RAPS\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), uint8(2))
+
+	f.Fuzz(func(t *testing.T, data []byte, step uint8) {
+		g := &guardedReader{t: t, data: data, step: 1 + int(step)}
+		r := NewReader(g)
+		var got []Event
+		for {
+			b := r.Buffered()
+			if b < 0 {
+				t.Fatalf("Buffered = %d", b)
+			}
+			g.armed = b > 0
+			e, ok := r.Next()
+			g.armed = false
+			if !ok {
+				break
+			}
+			// Every event takes at least two bytes after the 5-byte header.
+			if 5+2*len(got) >= len(data) {
+				t.Fatalf("decoded %d events from %d bytes", len(got)+1, len(data))
+			}
+			got = append(got, e)
+		}
+		if _, ok := r.Next(); ok {
+			t.Fatal("Next yielded an event after the stream ended")
+		}
+		if r.Err() == nil && !bytes.HasPrefix(data, []byte("RAPS\x01")) {
+			t.Fatalf("clean EOF on input without a valid header: %q", data[:min(len(data), 5)])
+		}
+		r2 := NewReader(bytes.NewReader(encodeTrace(t, got)))
+		again := Collect(r2)
+		if r2.Err() != nil || len(again) != len(got) {
+			t.Fatalf("re-encoded %d events decoded to %d, err %v", len(got), len(again), r2.Err())
+		}
+		for i := range got {
+			if again[i] != got[i] {
+				t.Fatalf("event %d re-decoded as %v, want %v", i, again[i], got[i])
+			}
+		}
+	})
 }

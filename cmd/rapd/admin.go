@@ -19,7 +19,7 @@ import (
 )
 
 // admin is the opt-in operator surface of rapd: metrics exposition,
-// liveness/readiness, the structural trace, the accuracy audit, the
+// liveness/readiness, the span ring and its events, the accuracy audit, the
 // flight recorder (history, alerts, statusz, diagnostic bundles), and
 // pprof. Nothing here mutates the data plane (/audit runs an extra audit
 // pass, which only touches the audit's own shadow state), so binding it
@@ -27,7 +27,6 @@ import (
 type admin struct {
 	in      *ingest.Ingestor
 	reg     *obs.Registry
-	strace  *obs.StructuralTrace
 	tracer  *span.Tracer           // nil unless request tracing is wired
 	aQuery  *obs.AdaptiveHistogram // adaptive "query" stage profile; nil in bare tests
 	aud     *audit.Auditor         // nil unless -audit
@@ -44,7 +43,7 @@ type admin struct {
 //	/metrics.json  the same registry as one JSON document
 //	/healthz       process liveness, with the named health checks attached
 //	/readyz        200 only while every health check passes
-//	/trace         sampled structural events as JSONL
+//	/trace         split/merge/audit/admission events as JSONL (/spans?name=event.)
 //	/audit         a fresh accuracy-audit pass as JSON (404 without -audit)
 //	/v1/estimate   lower bound + certified bracket for ?lo=&hi= (epoch-served)
 //	/v1/hotranges  hot ranges at ?theta= (epoch-served)
@@ -92,9 +91,6 @@ func (a *admin) handler() http.Handler {
 		}
 		writeStatus(w, code, map[string]any{"status": status, "checks": checks})
 	})
-	if a.strace != nil {
-		mux.Handle("/trace", a.strace)
-	}
 	mux.HandleFunc("/audit", func(w http.ResponseWriter, _ *http.Request) {
 		if a.aud == nil {
 			writeStatus(w, http.StatusNotFound, map[string]any{
@@ -125,6 +121,7 @@ func (a *admin) handler() http.Handler {
 	a.registerQueryAPI(mux)
 	if a.tracer != nil {
 		mux.Handle("/spans", a.tracer)
+		mux.Handle("/trace", a.tracer.EventHandler())
 	}
 	mux.HandleFunc("/profilez", a.profilez)
 	if a.rec != nil {
@@ -348,11 +345,8 @@ func (a *admin) bundleConfig() flight.BundleConfig {
 		Registry:        a.reg,
 		Recorder:        a.rec,
 		Engine:          a.eng,
-		Trace:           a.strace,
+		Spans:           a.tracer,
 		EffectiveConfig: a.effCfg,
-	}
-	if a.tracer != nil {
-		cfg.Spans = a.tracer
 	}
 	cfg.Profile = func() (any, bool) {
 		doc := a.profileDoc(defaultProfileTheta)

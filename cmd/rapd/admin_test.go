@@ -16,6 +16,7 @@ import (
 
 	"rap/internal/ingest"
 	"rap/internal/obs"
+	"rap/internal/span"
 	"rap/internal/trace"
 )
 
@@ -131,9 +132,9 @@ func TestAdminEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	strace := obs.NewStructuralTrace(1, 1<<14)
+	tracer := span.New(span.Options{SampleRate: 1, Capacity: 1 << 14, SlowThreshold: -1})
 	opts.Metrics = reg
-	opts.StructuralTrace = strace
+	opts.Tracer = tracer
 	specs, err := c.specs(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestAdminEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := &admin{in: in, reg: reg, strace: strace, ckEvery: time.Hour, start: time.Now()}
+	a := &admin{in: in, reg: reg, tracer: tracer, ckEvery: time.Hour, start: time.Now()}
 	addr, stop, err := serveAdmin("127.0.0.1:0", a, discardLogger())
 	if err != nil {
 		t.Fatal(err)
@@ -172,10 +173,10 @@ func TestAdminEndToEnd(t *testing.T) {
 		t.Fatalf("/metrics content type %q", ct)
 	}
 	s1 := parseProm(t, body)
-	if kind := s1.types[obs.MetricTreeSplits]; kind != "counter" {
-		t.Fatalf("%s typed %q, want counter", obs.MetricTreeSplits, kind)
+	if kind := s1.types[ingest.MetricTreeSplits]; kind != "counter" {
+		t.Fatalf("%s typed %q, want counter", ingest.MetricTreeSplits, kind)
 	}
-	if got := s1.sumFamily(obs.MetricTreeSplits); got != float64(st.Splits) || got == 0 {
+	if got := s1.sumFamily(ingest.MetricTreeSplits); got != float64(st.Splits) || got == 0 {
 		t.Fatalf("splits over all shards = %v, stats say %d", got, st.Splits)
 	}
 	if got := s1.sumFamily("rap_ingest_applied_total"); got != float64(len(vals)) {
@@ -218,26 +219,39 @@ func TestAdminEndToEnd(t *testing.T) {
 	for _, m := range doc.Metrics {
 		names[m.Name] = true
 	}
-	if !names[obs.MetricTreeSplits] || !names["rap_checkpoint_written_total"] {
+	if !names[ingest.MetricTreeSplits] || !names["rap_checkpoint_written_total"] {
 		t.Fatalf("JSON exposition families %v missing expected names", names)
 	}
 
-	// Structural trace serves JSONL split/merge decisions.
-	code, body, _ = get(t, base+"/trace")
-	if code != http.StatusOK {
-		t.Fatalf("/trace = %d", code)
-	}
-	lines := 0
-	scanner := bufio.NewScanner(strings.NewReader(body))
-	for scanner.Scan() {
-		var ev obs.StructuralEvent
-		if err := json.Unmarshal(scanner.Bytes(), &ev); err != nil {
-			t.Fatalf("trace line not JSON: %v: %s", err, scanner.Text())
+	// /trace serves the span ring's split/merge events alone, as span
+	// records; /spans serves them beside the request spans.
+	rows := func(path string) map[string]int {
+		code, body, _ := get(t, base+path)
+		if code != http.StatusOK {
+			t.Fatalf("%s = %d", path, code)
 		}
-		lines++
+		names := map[string]int{}
+		scanner := bufio.NewScanner(strings.NewReader(body))
+		for scanner.Scan() {
+			var rec span.Record
+			if err := json.Unmarshal(scanner.Bytes(), &rec); err != nil {
+				t.Fatalf("%s line not a span record: %v: %s", path, err, scanner.Text())
+			}
+			names[rec.Name]++
+		}
+		return names
 	}
-	if lines == 0 {
-		t.Fatal("trace endpoint returned no events")
+	events := rows("/trace")
+	if events["event.split"] == 0 {
+		t.Fatalf("/trace returned no split events: %v", events)
+	}
+	for name := range events {
+		if !strings.HasPrefix(name, span.EventPrefix) {
+			t.Fatalf("/trace returned a %q row", name)
+		}
+	}
+	if spans := rows("/spans"); spans["event.split"] == 0 || spans["ingest.batch"] == 0 {
+		t.Fatalf("/spans rows %v, want both events and ingest.batch spans", spans)
 	}
 
 	if code, _, _ := get(t, base+"/debug/pprof/cmdline"); code != http.StatusOK {

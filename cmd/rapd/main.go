@@ -15,14 +15,14 @@
 // With -admin, rapd serves its observability plane over HTTP: /metrics
 // (Prometheus text) and /metrics.json, /healthz and /readyz (structured
 // checks keyed on source liveness and checkpoint freshness), /trace
-// (sampled split/merge structural events as JSONL), the versioned query
-// API /v1/estimate, /v1/hotranges, and /v1/stats (answers served
-// lock-free from the latest published epoch, with staleness headers and
-// 429s while admission is at Siege), /spans (recorded request spans as
-// JSONL; /v1 requests honor an inbound W3C traceparent header and stamp
-// one on the response), /profilez (RAP-tree adaptive latency profiles
-// per pipeline stage, with span exemplars and a fixed-ladder
-// comparison), /vars (flight-recorder metric history with windowed
+// (the span ring's split/merge/audit/admission events as JSONL), the
+// versioned query API /v1/estimate, /v1/hotranges, and /v1/stats
+// (answers served lock-free from the latest published epoch, with
+// staleness headers and 429s while admission is at Siege), /spans
+// (recorded request spans as JSONL; /v1 requests honor an inbound W3C
+// traceparent header and stamp one on the response), /profilez
+// (RAP-tree adaptive latency profiles per pipeline stage, with span
+// exemplars and a fixed-ladder comparison), /vars (flight-recorder metric history with windowed
 // queries), /alerts (the in-process alert rules), /statusz (a
 // human-readable status page, including the slow-op log), /debug/bundle
 // (a one-shot gzipped-tar diagnostic bundle), and /debug/pprof. The
@@ -30,8 +30,9 @@
 // bounded in-memory ring of -flight-depth delta-compressed frames.
 // Request tracing samples 1 in -span-sample traces end to end through
 // enqueue, queue wait, shard apply, merge batches, epoch publish, and
-// checkpoint cut/write; spans slower than -slow-op are always recorded,
-// and while any alert fires every span is recorded.
+// checkpoint cut/write, and 1 in -span-sample split/merge decisions;
+// spans slower than -slow-op, audit findings and admission transitions
+// are always recorded, and while any alert fires everything is recorded.
 //
 // Trace-file and generator sources are replayable, so crash recovery is
 // lossless for them. Stdin is a one-shot stream: events between the last
@@ -88,9 +89,7 @@ type cliConfig struct {
 	maxRetries      int
 	statsEvery      time.Duration
 
-	admin       string // admin HTTP address, "" = disabled
-	traceSample uint64 // structural trace sampling: keep 1 in N decisions
-	traceCap    int    // structural trace ring capacity
+	admin string // admin HTTP address, "" = disabled
 
 	spanSample uint64        // request-span head sampling: keep 1 in N traces
 	spanCap    int           // span ring capacity
@@ -155,9 +154,7 @@ func parseFlags(args []string, errOut io.Writer) cliConfig {
 	fs.IntVar(&c.maxRetries, "max-retries", 5, "consecutive failures before a source is abandoned")
 	fs.DurationVar(&c.statsEvery, "stats-every", 10*time.Second, "stats logging cadence (0: disabled)")
 	fs.StringVar(&c.admin, "admin", "", "admin HTTP address serving /metrics, /healthz, /readyz, /trace, /vars, /alerts, /statusz, /debug/bundle, pprof (empty: disabled)")
-	fs.Uint64Var(&c.traceSample, "trace-sample", 64, "structural trace sampling: record 1 in N split/merge decisions")
-	fs.IntVar(&c.traceCap, "trace-cap", 4096, "structural trace ring capacity, in events")
-	fs.Uint64Var(&c.spanSample, "span-sample", 100, "request-span head sampling: keep 1 in N traces with all their child spans")
+	fs.Uint64Var(&c.spanSample, "span-sample", 100, "head sampling: keep 1 in N traces with all their child spans, and 1 in N split/merge events")
 	fs.IntVar(&c.spanCap, "span-cap", 4096, "request-span ring capacity, in spans")
 	fs.DurationVar(&c.slowOp, "slow-op", 100*time.Millisecond, "record any span at least this long regardless of sampling (0: disabled)")
 	fs.DurationVar(&c.flightEvery, "flight-every", time.Second, "flight recorder scrape cadence")
@@ -368,14 +365,11 @@ func run(ctx context.Context, c cliConfig, out io.Writer) error {
 
 	// The observability plane is built only when the admin endpoint is
 	// requested, keeping the uninstrumented daemon's hot path hook-free.
-	var strace *obs.StructuralTrace
 	var tracer *span.Tracer
 	var engPtr atomic.Pointer[flight.Engine]
 	if c.admin != "" {
 		opts.Metrics = obs.NewRegistry()
 		obs.RegisterRuntime(opts.Metrics)
-		strace = obs.NewStructuralTrace(c.traceSample, c.traceCap)
-		opts.StructuralTrace = strace
 		// The tracer must exist before Open so ingest threads spans through
 		// the pipeline, but its Force hook watches the alert engine, which
 		// is only built after Open. The atomic pointer bridges the gap: a
@@ -431,7 +425,6 @@ func run(ctx context.Context, c cliConfig, out io.Writer) error {
 		a = &admin{
 			in:      in,
 			reg:     opts.Metrics,
-			strace:  strace,
 			tracer:  tracer,
 			aQuery:  aQuery,
 			aud:     in.Auditor(),
@@ -528,8 +521,6 @@ func (c cliConfig) effective() map[string]any {
 		"read_timeout":     c.readTimeout.String(),
 		"max_retries":      c.maxRetries,
 		"admin":            c.admin,
-		"trace_sample":     c.traceSample,
-		"trace_cap":        c.traceCap,
 		"span_sample":      c.spanSample,
 		"span_cap":         c.spanCap,
 		"slow_op":          c.slowOp.String(),

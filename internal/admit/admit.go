@@ -40,6 +40,7 @@ import (
 
 	"rap/internal/core"
 	"rap/internal/obs"
+	"rap/internal/span"
 )
 
 // Level is a degradation level of the admission frontend.
@@ -160,9 +161,10 @@ type Options struct {
 
 	// Logger, when set, receives level-transition logs.
 	Logger *slog.Logger
-	// Trace, when set, records level transitions with RecordAlways (they
-	// must never be sampled away). See the field mapping on recordLevel.
-	Trace *obs.StructuralTrace
+	// Trace, when set, records level transitions as always-kept events
+	// (they must never be sampled away). See the attributes on
+	// recordLevel.
+	Trace *span.Tracer
 }
 
 func (o Options) withDefaults() Options {
@@ -552,16 +554,12 @@ func (f *Frontend) setLevelLocked(to Level, arena int64, rate float64, offered u
 	f.recordLevel(to, arena, rate, offered, "admit_level")
 }
 
-// recordLevel writes a level event into the structural trace ring,
-// reusing the split/merge event fields: Count carries the new level, Lo
-// the arena bytes, Threshold the churn rate per 1000, N the offered
-// weight at decision time.
-func (f *Frontend) recordLevel(to Level, arena int64, rate float64, offered uint64, op string) {
-	if f.opts.Trace == nil {
-		return
-	}
-	f.opts.Trace.RecordAlways(obs.StructuralEvent{
-		Op:        op,
+// recordLevel records a level event on the span ring, reusing the
+// split/merge decision fields: Count carries the new level, Lo the arena
+// bytes, Threshold the churn rate per 1000, N the offered weight at
+// decision time.
+func (f *Frontend) recordLevel(to Level, arena int64, rate float64, offered uint64, name string) {
+	f.opts.Trace.Event(name, true, span.Decision{
 		Count:     uint64(to),
 		Lo:        uint64(arena),
 		Threshold: rate,

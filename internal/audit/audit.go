@@ -78,6 +78,7 @@ import (
 	"rap/internal/core"
 	"rap/internal/exact"
 	"rap/internal/obs"
+	"rap/internal/span"
 )
 
 // Defaults for Options fields left zero.
@@ -253,7 +254,7 @@ type Auditor struct {
 	mRebases    *obs.Counter
 	mPasses     *obs.Counter
 	mRatio      *obs.Histogram
-	trace       *obs.StructuralTrace
+	trace       *span.Tracer
 }
 
 // New builds an Auditor with the given options. The auditor is inert

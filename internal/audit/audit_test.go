@@ -8,6 +8,7 @@ import (
 	"rap/internal/core"
 	"rap/internal/obs"
 	"rap/internal/shard"
+	"rap/internal/span"
 )
 
 func testConfig(ub int) core.Config {
@@ -179,8 +180,7 @@ func TestShardedEngineConcurrent(t *testing.T) {
 	e.SetShardTaps(func(i int) core.Tap { return taps[i] })
 
 	reg := obs.NewRegistry()
-	trace := obs.NewStructuralTrace(1, 256)
-	a.Register(reg, trace)
+	a.Register(reg, span.New(span.Options{SampleRate: 1, Capacity: 256}))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -261,7 +261,8 @@ func TestBrokenEstimatorCaught(t *testing.T) {
 	}
 	tr.SetTap(taps[0])
 	reg := obs.NewRegistry()
-	trace := obs.NewStructuralTrace(1000, 64) // heavy sampling: violations must still land
+	// Sampling nearly everything away: violations must still land.
+	trace := span.New(span.Options{SampleRate: 1 << 60})
 	a.Register(reg, trace)
 
 	rng := rand.New(rand.NewSource(3))
@@ -278,14 +279,14 @@ func TestBrokenEstimatorCaught(t *testing.T) {
 	if got := reg.Counter(MetricAuditViolations, "").Value(); got == 0 {
 		t.Fatal("violations counter still 0")
 	}
-	found := false
-	for _, ev := range trace.Events() {
-		if ev.Op == TraceOpViolation {
-			found = true
+	violations := 0
+	for _, r := range trace.Spans() {
+		if r.Name == span.EventPrefix+TraceOpViolation {
+			violations++
 		}
 	}
-	if !found {
-		t.Fatal("no audit_violation event in the trace ring")
+	if violations == 0 || violations != rep.PassViolations {
+		t.Fatalf("%d audit_violation events in the span ring, %d violations in the pass", violations, rep.PassViolations)
 	}
 }
 

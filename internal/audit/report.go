@@ -6,6 +6,7 @@ import (
 	"rap/internal/core"
 	"rap/internal/exact"
 	"rap/internal/obs"
+	"rap/internal/span"
 )
 
 // Audit metric names.
@@ -23,7 +24,7 @@ const (
 	MetricAuditTruthValues = "rap_audit_truth_values"
 )
 
-// Trace ring ops emitted by the audit.
+// Event names the audit records on the span ring (after span.EventPrefix).
 const (
 	TraceOpViolation = "audit_violation"
 	TraceOpNearBound = "audit_near_bound"
@@ -97,11 +98,12 @@ type Report struct {
 	Verdict string `json:"verdict"`
 }
 
-// Register wires the auditor's metrics into reg and its violation events
-// into tr (either may be nil to skip that sink). Call once, before audit
+// Register wires the auditor's metrics into reg and its violation and
+// near-bound events into tr (either may be nil to skip that sink); the
+// events are always kept, never sampled away. Call once, before audit
 // traffic. Gauge families read from the last completed pass; counters
 // accumulate across passes.
-func (a *Auditor) Register(reg *obs.Registry, tr *obs.StructuralTrace) {
+func (a *Auditor) Register(reg *obs.Registry, tr *span.Tracer) {
 	a.trace = tr
 	if reg == nil {
 		return
@@ -365,24 +367,12 @@ func (a *Auditor) check(r *RangeReport, n uint64, epsN, budget float64) {
 		r.Violation = true
 		r.Reason = "underestimate exceeds certified budget"
 	}
-	ev := obs.StructuralEvent{
-		Lo:        r.Lo,
-		Hi:        r.Hi,
-		Count:     r.Truth,
-		Threshold: epsN,
-		N:         n,
-	}
+	d := span.Decision{Lo: r.Lo, Hi: r.Hi, Count: r.Truth, Threshold: epsN, N: n}
 	switch {
 	case r.Violation:
-		if a.trace != nil {
-			ev.Op = TraceOpViolation
-			a.trace.RecordAlways(ev)
-		}
+		a.trace.Event(TraceOpViolation, true, d)
 	case r.Ratio >= a.opts.NearRatio:
-		if a.trace != nil {
-			ev.Op = TraceOpNearBound
-			a.trace.RecordAlways(ev)
-		}
+		a.trace.Event(TraceOpNearBound, true, d)
 	}
 }
 

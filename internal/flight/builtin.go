@@ -8,8 +8,6 @@ type BuiltinConfig struct {
 	// CheckpointEvery is the configured checkpoint cadence; the staleness
 	// rule warns at 3× and goes critical at 10×. Zero disables the rule.
 	CheckpointEvery time.Duration
-	// QueueSatWarn/Crit are ingest queue fill fractions. Defaults 0.8/0.95.
-	QueueSatWarn, QueueSatCrit float64
 	// ArenaGrowthWarn/Crit are sustained arena growth rates in bytes/s.
 	// Defaults 8 MiB/s and 64 MiB/s.
 	ArenaGrowthWarn, ArenaGrowthCrit float64
@@ -27,18 +25,12 @@ type BuiltinConfig struct {
 
 // BuiltinRules returns the stock alert rules over the engine's own
 // signals: certified-accuracy violations, admission escalation,
-// checkpoint staleness, queue saturation, arena growth, and trace-ring
-// churn. The audit rule latches at crit by construction — the violation
+// checkpoint staleness, queue saturation, arena growth, and stage
+// latency. The audit rule latches at crit by construction — the violation
 // counter is monotone, so once the certificate is broken the alert stays
 // lit for the life of the process, matching the audit's own
 // till-death verdict semantics.
 func BuiltinRules(cfg BuiltinConfig) []Rule {
-	if cfg.QueueSatWarn == 0 {
-		cfg.QueueSatWarn = 0.8
-	}
-	if cfg.QueueSatCrit == 0 {
-		cfg.QueueSatCrit = 0.95
-	}
 	if cfg.ArenaGrowthWarn == 0 {
 		cfg.ArenaGrowthWarn = 8 << 20
 	}
@@ -80,14 +72,17 @@ func BuiltinRules(cfg BuiltinConfig) []Rule {
 			ClearRatio: 1,
 		},
 		{
+			// A full queue alone is not saturation: under the Block policy
+			// it is lossless backpressure, the steady state whenever a
+			// source outpaces its shard. Saturation is the queue shedding
+			// events, which only DropNewest does.
 			Name:   "queue_saturation",
-			Help:   "Ingest queue fill fraction.",
-			Kind:   Ratio,
-			Series: "rap_ingest_queue_depth",
-			Denom:  "rap_ingest_queue_capacity",
-			Agg:    AggMax,
-			Warn:   cfg.QueueSatWarn,
-			Crit:   cfg.QueueSatCrit,
+			Help:   "Events shed by full ingest queues under DropNewest, events/s.",
+			Kind:   Rate,
+			Series: "rap_ingest_dropped_total",
+			Agg:    AggSum,
+			Warn:   1,
+			Crit:   10_000,
 			For:    cfg.For,
 		},
 		{
@@ -110,16 +105,6 @@ func BuiltinRules(cfg BuiltinConfig) []Rule {
 			Warn:   cfg.ProfileP99Warn,
 			Crit:   cfg.ProfileP99Crit,
 			For:    cfg.For,
-		},
-		{
-			Name:       "trace_evictions",
-			Help:       "Structural trace ring overwriting history faster than it is exported (events/s).",
-			Kind:       Rate,
-			Series:     "rap_trace_evicted_total",
-			Agg:        AggSum,
-			Warn:       1,
-			RateWindow: cfg.ArenaGrowthWindow,
-			For:        cfg.For,
 		},
 	}
 	if cfg.CheckpointEvery > 0 {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rap/internal/obs"
+	"rap/internal/span"
 )
 
 // BundleFormat names the bundle layout; rapdiag refuses bundles it does
@@ -32,12 +33,9 @@ type BundleConfig struct {
 	Recorder *Recorder
 	// Engine contributes alerts.json.
 	Engine *Engine
-	// Trace contributes trace.jsonl, the structural event ring.
-	Trace *obs.StructuralTrace
-	// Spans contributes spans.jsonl, the request-span ring (satisfied by
-	// *span.Tracer; typed as an interface so flight stays decoupled from
-	// the tracing package).
-	Spans interface{ WriteJSONL(io.Writer) error }
+	// Spans contributes spans.jsonl, the whole span ring, and
+	// trace.jsonl, its event records alone (the rows /trace serves).
+	Spans *span.Tracer
 	// Profile returns the adaptive latency-profile document /profilez
 	// serves; contributes profile.json.
 	Profile func() (any, bool)
@@ -140,22 +138,18 @@ func WriteBundle(w io.Writer, cfg BundleConfig) error {
 			return err
 		}
 	}
-	if cfg.Trace != nil {
-		var buf bytes.Buffer
-		if err := cfg.Trace.WriteJSONL(&buf); err != nil {
-			return err
-		}
-		if err := add("trace.jsonl", buf.Bytes()); err != nil {
-			return err
-		}
-	}
 	if cfg.Spans != nil {
-		var buf bytes.Buffer
-		if err := cfg.Spans.WriteJSONL(&buf); err != nil {
-			return err
-		}
-		if err := add("spans.jsonl", buf.Bytes()); err != nil {
-			return err
+		for _, f := range []struct{ name, prefix string }{
+			{"trace.jsonl", span.EventPrefix},
+			{"spans.jsonl", ""},
+		} {
+			var buf bytes.Buffer
+			if err := cfg.Spans.WriteJSONL(&buf, f.prefix); err != nil {
+				return err
+			}
+			if err := add(f.name, buf.Bytes()); err != nil {
+				return err
+			}
 		}
 	}
 	if cfg.Profile != nil {

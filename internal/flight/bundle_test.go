@@ -11,14 +11,16 @@ import (
 	"testing"
 
 	"rap/internal/obs"
+	"rap/internal/span"
 )
 
-func buildTestBundle(t *testing.T) map[string][]byte {
+func buildTestBundle(t *testing.T) (map[string][]byte, *span.Tracer) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	reg.Gauge("g", "a gauge").Set(42)
-	tr := obs.NewStructuralTrace(1, 16)
-	tr.Record(obs.StructuralEvent{Op: "split", Lo: 1, Hi: 2})
+	tracer := span.New(span.Options{SampleRate: 1, Capacity: 16})
+	tracer.StartRoot("v1.estimate").End()
+	tracer.Event("split", false, span.Decision{Lo: 1, Hi: 2})
 	rec := NewRecorder(reg, Options{})
 	for i := 0; i < 5; i++ {
 		rec.Scrape(at(i))
@@ -32,27 +34,18 @@ func buildTestBundle(t *testing.T) map[string][]byte {
 		Registry: reg,
 		Recorder: rec,
 		Engine:   eng,
-		Trace:    tr,
 		AuditReport: func() (any, bool) {
 			return map[string]any{"verdict": "pass", "violations_total": 0}, true
 		},
 		AdmitState:      func() (any, bool) { return map[string]any{"level": "Normal"}, true },
-		Spans:           jsonlWriter(`{"name":"v1.estimate","trace_id":"t1"}` + "\n"),
+		Spans:           tracer,
 		Profile:         func() (any, bool) { return map[string]any{"theta": 0.05}, true },
 		EffectiveConfig: map[string]any{"epsilon": 0.01},
 	})
 	if err != nil {
 		t.Fatalf("WriteBundle: %v", err)
 	}
-	return untar(t, buf.Bytes())
-}
-
-// jsonlWriter satisfies BundleConfig.Spans with canned JSONL content.
-type jsonlWriter string
-
-func (s jsonlWriter) WriteJSONL(w io.Writer) error {
-	_, err := io.WriteString(w, string(s))
-	return err
+	return untar(t, buf.Bytes()), tracer
 }
 
 func untar(t *testing.T, raw []byte) map[string][]byte {
@@ -82,7 +75,7 @@ func untar(t *testing.T, raw []byte) map[string][]byte {
 
 // TestBundleContents checks every promised entry exists and decodes.
 func TestBundleContents(t *testing.T) {
-	entries := buildTestBundle(t)
+	entries, tracer := buildTestBundle(t)
 	for _, name := range []string{
 		"meta.json", "build.json", "config.json", "metrics.prom",
 		"metrics_history.json", "alerts.json", "trace.jsonl",
@@ -134,11 +127,14 @@ func TestBundleContents(t *testing.T) {
 	if !strings.Contains(string(entries["metrics.prom"]), "g 42") {
 		t.Error("metrics.prom missing gauge sample")
 	}
-	if !strings.Contains(string(entries["trace.jsonl"]), `"op":"split"`) {
-		t.Error("trace.jsonl missing recorded event")
+	// trace.jsonl holds the rows /trace serves: the events alone.
+	rec := httptest.NewRecorder()
+	tracer.EventHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
+	if got := string(entries["trace.jsonl"]); got != rec.Body.String() || !strings.Contains(got, `"name":"event.split"`) {
+		t.Errorf("trace.jsonl = %q, /trace = %q", got, rec.Body.String())
 	}
-	if !strings.Contains(string(entries["spans.jsonl"]), `"name":"v1.estimate"`) {
-		t.Error("spans.jsonl missing recorded span")
+	if spans := string(entries["spans.jsonl"]); !strings.Contains(spans, `"name":"v1.estimate"`) || !strings.Contains(spans, `"name":"event.split"`) {
+		t.Errorf("spans.jsonl missing a recorded span or event: %q", spans)
 	}
 	if !strings.Contains(string(entries["profile.json"]), `"theta"`) {
 		t.Error("profile.json missing profile document")

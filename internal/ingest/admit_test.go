@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"log/slog"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func admitOptions(shards int) Options {
 		Shards:      shards,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
-		Logf:        func(string, ...any) {},
+		Logger:      slog.New(slog.DiscardHandler),
 		Admission:   &admit.Options{Seed: 7},
 	}
 }

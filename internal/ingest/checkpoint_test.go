@@ -3,7 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
-	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,27 +13,24 @@ import (
 	"rap/internal/core"
 )
 
-// logCapture collects Logf lines for assertions.
+// logCapture collects the text records of its logger for assertions.
 type logCapture struct {
-	mu    sync.Mutex
-	lines []string
+	mu  sync.Mutex
+	buf strings.Builder
 }
 
-func (lc *logCapture) logf(format string, args ...any) {
+func (lc *logCapture) Write(p []byte) (int, error) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	lc.lines = append(lc.lines, fmt.Sprintf(format, args...))
+	return lc.buf.Write(p)
 }
 
-func (lc *logCapture) contains(substr string) bool {
+func (lc *logCapture) logger() *slog.Logger { return slog.New(slog.NewTextHandler(lc, nil)) }
+
+func (lc *logCapture) String() string {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	for _, l := range lc.lines {
-		if strings.Contains(l, substr) {
-			return true
-		}
-	}
-	return false
+	return lc.buf.String()
 }
 
 // runToCompletion ingests vals under the given options and returns the
@@ -113,7 +110,7 @@ func TestCorruptCheckpointQuarantinedAndPrevUsed(t *testing.T) {
 	}
 
 	lc := &logCapture{}
-	opts.Logf = lc.logf
+	opts.Logger = lc.logger()
 	in2, err := Open(opts, []SourceSpec{sliceSpec("s", vals)})
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +118,8 @@ func TestCorruptCheckpointQuarantinedAndPrevUsed(t *testing.T) {
 	if got := in2.N(); got != prevN {
 		t.Fatalf("fallback restored N = %d, want previous checkpoint's %d", got, prevN)
 	}
-	if !lc.contains("quarantined") {
-		t.Fatalf("corruption not logged: %q", lc.lines)
+	if !strings.Contains(lc.String(), "quarantined") {
+		t.Fatalf("corruption not logged: %q", lc)
 	}
 	quarantined, _ := filepath.Glob(filepath.Join(dir, ckName+".corrupt-*"))
 	if len(quarantined) != 1 {
@@ -154,7 +151,7 @@ func TestBothCheckpointsCorruptStartsFresh(t *testing.T) {
 	}
 
 	lc := &logCapture{}
-	opts.Logf = lc.logf
+	opts.Logger = lc.logger()
 	in, err := Open(opts, []SourceSpec{sliceSpec("s", vals)})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +234,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 	dir := f.TempDir()
 	opts := testOptions(2)
 	opts.CheckpointDir = dir
-	opts.Logf = func(string, ...any) {}
 	in, err := Open(opts, []SourceSpec{sliceSpec("s", zipfVals(3_000, 10))})
 	if err != nil {
 		f.Fatal(err)

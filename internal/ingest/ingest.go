@@ -22,11 +22,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"math/rand/v2"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,15 +119,10 @@ type Options struct {
 	// Run winds down. Tests use it to simulate a hard crash.
 	SkipFinalCheckpoint bool
 
-	// Logf receives operational log lines (retries, quarantined
-	// checkpoints, failed sources) rendered as "msg key=value ...".
-	// Default log.Printf. Ignored when Logger is set.
-	Logf func(format string, args ...any)
-
-	// Logger, when set, receives structured operational logs with
-	// per-source fields (source, attempt, backoff, err) — the same labels
-	// the metrics registry uses, so logs and metrics can be joined. When
-	// nil, a handler bridging to Logf is installed.
+	// Logger receives structured operational logs (retries, quarantined
+	// checkpoints, failed sources) with per-source fields (source,
+	// attempt, backoff, err) — the same labels the metrics registry uses,
+	// so logs and metrics can be joined. Default slog.Default().
 	Logger *slog.Logger
 
 	// Metrics, when set, registers pipeline metrics on this registry:
@@ -138,17 +131,12 @@ type Options struct {
 	// drops, retries, backoff state, and checkpoint counters/latency.
 	Metrics *obs.Registry
 
-	// StructuralTrace, when set (together with Metrics), records sampled
-	// split/merge decisions from every shard tree.
-	StructuralTrace *obs.StructuralTrace
-
 	// Audit, when set, runs the online accuracy self-audit over this
 	// pipeline: per-shard taps shadow the stream, and periodic passes
 	// compare the engine's estimates against exact counts for the sampled
 	// ranges. The auditor attaches after checkpoint recovery, so restored
 	// mass is pre-audit slack, never fabricated truth. Audit metrics and
-	// violation trace events land on Metrics / StructuralTrace when those
-	// are set.
+	// violation events land on Metrics / Tracer when those are set.
 	Audit *audit.Options
 
 	// AuditEvery is the cadence of periodic audit passes in Run (default
@@ -163,7 +151,7 @@ type Options struct {
 	// Stats and preserved across checkpoints) and is folded into the
 	// audit's certified budget, so Audit+Admission still verifies the
 	// end-to-end bound. The frontend's Logger/Trace default to this
-	// Options' Logger and StructuralTrace when unset.
+	// Options' Logger and Tracer when unset.
 	Admission *admit.Options
 
 	// AdmissionObserveEvery is the cadence at which Run feeds the
@@ -194,42 +182,13 @@ type Options struct {
 	// each enqueued batch becomes a trace whose children cover the
 	// queue-wait and shard-apply stages (with merge-batch and
 	// epoch-publish children attached when the apply triggered them), and
-	// each checkpoint becomes a trace with cut and write children. The
-	// tracer's sampling policy decides what is kept; unsampled batches pay
-	// one small allocation per 256-event batch.
+	// each checkpoint becomes a trace with cut and write children. With
+	// Metrics also set, every shard tree's split and merge decisions are
+	// recorded as events on it too. The tracer's sampling policy decides
+	// what is kept; unsampled batches pay one small allocation per
+	// 256-event batch, a dropped decision none.
 	Tracer *span.Tracer
 }
-
-// logfHandler is a minimal slog.Handler that renders records through a
-// printf-style sink, keeping the legacy Logf option (and tests that
-// capture it) working under structured logging.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var sb strings.Builder
-	sb.WriteString(r.Message)
-	for _, a := range h.attrs {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.logf("%s", sb.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	h.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return h
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
 
 func (o Options) withDefaults() Options {
 	if o.Tree == (core.Config{}) {
@@ -269,11 +228,7 @@ func (o Options) withDefaults() Options {
 		o.SnapshotMaxStale = time.Second
 	}
 	if o.Logger == nil {
-		logf := o.Logf
-		if logf == nil {
-			logf = log.Printf
-		}
-		o.Logger = slog.New(logfHandler{logf: logf})
+		o.Logger = slog.Default()
 	}
 	return o
 }
@@ -303,6 +258,12 @@ type batch struct {
 type shardQueue struct {
 	idx int
 	ch  chan batch
+
+	// decided buffers the shard tree's split and merge decisions (see
+	// treeHooks) and is guarded by the shard lock; apply swaps it with
+	// spare under the lock and records spare as events after releasing
+	// it. Only the shard's drain worker touches spare.
+	decided, spare []decision
 }
 
 // sourceState is the supervision record for one source.
@@ -477,7 +438,7 @@ func Open(opts Options, specs []SourceSpec) (*Ingestor, error) {
 			admOpts.Logger = opts.Logger
 		}
 		if admOpts.Trace == nil {
-			admOpts.Trace = opts.StructuralTrace
+			admOpts.Trace = opts.Tracer
 		}
 		in.adm = admit.New(admOpts)
 		gates := in.adm.Gates(engine.Config().UniverseBits, engine.Shards())
@@ -495,7 +456,7 @@ func Open(opts Options, specs []SourceSpec) (*Ingestor, error) {
 			return nil, err
 		}
 		engine.SetShardTaps(func(i int) core.Tap { return taps[i] })
-		aud.Register(opts.Metrics, opts.StructuralTrace)
+		aud.Register(opts.Metrics, opts.Tracer)
 		in.aud = aud
 	}
 	// Register metrics after restore so hooks land on the live trees.
@@ -520,7 +481,7 @@ func (in *Ingestor) Admission() *admit.Frontend {
 
 // registerMetrics wires the three instrumentation surfaces onto
 // opts.Metrics: per-shard tree hooks (counters, latency histograms,
-// structural trace), scrape-time gauges over shard and queue state, and
+// split/merge events), scrape-time gauges over shard and queue state, and
 // checkpoint counters. Scrape-time Funcs take the owning shard lock, so
 // an exposition is a consistent-enough monitoring view without ever
 // blocking the hot path for longer than one scrape.
@@ -528,7 +489,11 @@ func (in *Ingestor) registerMetrics() {
 	reg := in.opts.Metrics
 	eps := in.opts.Tree.Epsilon
 	in.engine.SetShardHooks(func(i int) *core.Hooks {
-		return obs.TreeHooks(reg, in.opts.StructuralTrace, strconv.Itoa(i))
+		var decided *[]decision
+		if in.opts.Tracer != nil {
+			decided = &in.queues[i].decided
+		}
+		return treeHooks(reg, decided, strconv.Itoa(i))
 	})
 	for i := 0; i < in.engine.Shards(); i++ {
 		i := i
@@ -651,11 +616,6 @@ func (in *Ingestor) registerMetrics() {
 		reg.CounterFunc("rap_epoch_retired_total", "Superseded epochs whose reader count drained.",
 			func() float64 { return float64(pub.Retired()) })
 	}
-	if tr := in.opts.StructuralTrace; tr != nil {
-		reg.CounterFunc("rap_trace_evicted_total",
-			"Structural trace events the ring overwrote before any export read them.",
-			func() float64 { return float64(tr.Evicted()) })
-	}
 	in.ckDur = reg.Histogram("rap_checkpoint_seconds", "Wall time of one checkpoint write.", obs.DurationBuckets())
 	in.ckCutDur = reg.Duration("rap_checkpoint_cut_seconds",
 		"Checkpoint cut stage: wall time holding every shard lock to snapshot trees and positions.")
@@ -731,6 +691,7 @@ func (in *Ingestor) restore(st *checkpointState) error {
 // batched fast path, then recycled to the readers.
 func (in *Ingestor) apply(q *shardQueue, b batch) {
 	defer in.putChunk(b.events)
+	defer in.recordDecisions(q)
 	var start time.Time
 	if in.hApply != nil || b.sp != nil {
 		start = time.Now()
@@ -764,6 +725,7 @@ func (in *Ingestor) apply(q *shardQueue, b batch) {
 		if sampled {
 			mergesAfter = tr.Stats().MergeBatches
 		}
+		q.decided, q.spare = q.spare[:0], q.decided
 	})
 
 	if in.hApply == nil && b.sp == nil {
@@ -815,6 +777,14 @@ func (in *Ingestor) apply(q *shardQueue, b batch) {
 	b.sp.EndAt(end)
 }
 
+// recordDecisions records the split and merge decisions the last apply
+// took out of q as events on the tracer, off the shard lock.
+func (in *Ingestor) recordDecisions(q *shardQueue) {
+	for _, d := range q.spare {
+		in.opts.Tracer.Event(d.name, false, d.d)
+	}
+}
+
 // observeQueueWait records the enqueue→drain wait on the fixed and
 // adaptive histograms and, when the batch is traced, as a queue_wait child
 // span covering the wait interval.
@@ -863,109 +833,40 @@ func (in *Ingestor) Run(ctx context.Context) error {
 		}(ss)
 	}
 
-	stopCk := make(chan struct{})
-	var ckWg sync.WaitGroup
-	if in.opts.CheckpointDir != "" {
-		ckWg.Add(1)
-		go func() {
-			defer ckWg.Done()
-			tick := time.NewTicker(in.opts.CheckpointEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					if err := in.Checkpoint(); err != nil {
-						in.log.Error("ingest: checkpoint failed", "err", err)
-					}
-				case <-stopCk:
-					return
-				}
-			}
-		}()
-	}
-
-	stopAdm := make(chan struct{})
-	var admWg sync.WaitGroup
-	if in.adm != nil {
-		admWg.Add(1)
-		go func() {
-			defer admWg.Done()
-			tick := time.NewTicker(in.opts.AdmissionObserveEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					in.adm.Observe(in.engine.Stats())
-				case <-stopAdm:
-					return
-				}
-			}
-		}()
-	}
-
-	stopPub := make(chan struct{})
-	var pubWg sync.WaitGroup
-	if in.opts.ReadSnapshots {
-		pubWg.Add(1)
-		go func() {
-			defer pubWg.Done()
-			tick := time.NewTicker(in.opts.SnapshotMaxStale)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					// Publish only when events arrived since the last epoch:
-					// an idle stream keeps its (already current) epoch instead
-					// of burning clones on nothing.
-					if in.engine.PublishPending() > 0 {
-						in.engine.PublishNow()
-					}
-				case <-stopPub:
-					return
-				}
-			}
-		}()
-	}
-
-	stopAudit := make(chan struct{})
-	var audWg sync.WaitGroup
-	if in.aud != nil {
-		audWg.Add(1)
-		go func() {
-			defer audWg.Done()
-			tick := time.NewTicker(in.opts.AuditEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					in.auditPass()
-				case <-stopAudit:
-					return
-				}
-			}
-		}()
-	}
+	stopCk := every(in.opts.CheckpointDir != "", in.opts.CheckpointEvery, func() {
+		if err := in.Checkpoint(); err != nil {
+			in.log.Error("ingest: checkpoint failed", "err", err)
+		}
+	})
+	stopAdm := every(in.adm != nil, in.opts.AdmissionObserveEvery, func() {
+		in.adm.Observe(in.engine.Stats())
+	})
+	stopPub := every(in.opts.ReadSnapshots, in.opts.SnapshotMaxStale, func() {
+		// Publish only when events arrived since the last epoch: an idle
+		// stream keeps its (already current) epoch instead of burning
+		// clones on nothing.
+		if in.engine.PublishPending() > 0 {
+			in.engine.PublishNow()
+		}
+	})
+	stopAudit := every(in.aud != nil, in.opts.AuditEvery, in.auditPass)
 
 	readers.Wait()
-	close(stopCk)
-	ckWg.Wait()
+	stopCk()
 	// Readers are done; close the queues and let the workers drain what
 	// was already accepted, so the final checkpoint covers it.
 	for _, q := range in.queues {
 		close(q.ch)
 	}
 	workers.Wait()
-	close(stopPub)
-	pubWg.Wait()
+	stopPub()
 	if in.opts.ReadSnapshots {
 		// The queues are fully drained: publish one last epoch so readers
 		// see the complete stream.
 		in.engine.PublishNow()
 	}
-	close(stopAdm)
-	admWg.Wait()
-	close(stopAudit)
-	audWg.Wait()
+	stopAdm()
+	stopAudit()
 	if in.aud != nil {
 		// One final pass over the fully drained stream, so even a short
 		// run gets at least one complete accuracy verdict.
@@ -985,6 +886,34 @@ func (in *Ingestor) Run(ctx context.Context) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// every runs fn every d on a goroutine of its own, when on, until the
+// returned stop is called; stop returns once that goroutine has exited,
+// so Run can order each loop's end against the rest of its shutdown.
+func every(on bool, d time.Duration, fn func()) (stop func()) {
+	if !on {
+		return func() {}
+	}
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(d)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				fn()
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
+	}
 }
 
 // auditPass runs one audit pass and logs its outcome; a violation is an

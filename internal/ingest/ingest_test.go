@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log/slog"
 	"math/rand"
 	"strings"
 	"sync"
@@ -25,7 +26,7 @@ func testOptions(shards int) Options {
 		Shards:      shards,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
-		Logf:        func(string, ...any) {},
+		Logger:      slog.New(slog.DiscardHandler),
 	}
 }
 

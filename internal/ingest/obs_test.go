@@ -8,21 +8,24 @@ import (
 	"time"
 
 	"rap/internal/core"
+	"rap/internal/flight"
 	"rap/internal/obs"
+	"rap/internal/span"
 	"rap/internal/trace"
 )
 
 // TestMetricsRegistration runs a checkpointed pipeline with a registry
-// attached and checks the exposition carries the core split/merge,
-// queue, and checkpoint metrics with values that reconcile with Stats.
+// and a tracer attached and checks the exposition carries the core
+// split/merge, queue, and checkpoint metrics with values that reconcile
+// with Stats, and that split decisions land on the span ring.
 func TestMetricsRegistration(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	tr := obs.NewStructuralTrace(1, 1<<12)
+	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 16})
 	opts := testOptions(2)
 	opts.CheckpointDir = dir
 	opts.Metrics = reg
-	opts.StructuralTrace = tr
+	opts.Tracer = tr
 
 	in := runToCompletion(t, opts, []SourceSpec{
 		sliceSpec("a", zipfVals(30_000, 21)),
@@ -33,11 +36,11 @@ func TestMetricsRegistration(t *testing.T) {
 	var splits, merges float64
 	for _, fam := range reg.Snapshot() {
 		switch fam.Name {
-		case obs.MetricTreeSplits:
+		case MetricTreeSplits:
 			for _, s := range fam.Series {
 				splits += s.Value
 			}
-		case obs.MetricTreeMerges:
+		case MetricTreeMerges:
 			for _, s := range fam.Series {
 				merges += s.Value
 			}
@@ -52,8 +55,14 @@ func TestMetricsRegistration(t *testing.T) {
 	if st.Splits == 0 {
 		t.Fatal("stream produced no splits; test is vacuous")
 	}
-	if tr.Decisions() == 0 {
-		t.Fatal("structural trace saw no decisions")
+	var splitEvents uint64
+	for _, r := range tr.Spans() {
+		if r.Name == "event.split" {
+			splitEvents++
+		}
+	}
+	if splitEvents != st.Splits {
+		t.Fatalf("span ring holds %d split events, stats count %d splits", splitEvents, st.Splits)
 	}
 
 	if st.Checkpoint.Written == 0 || st.Checkpoint.LastAt.IsZero() ||
@@ -78,7 +87,6 @@ func TestMetricsRegistration(t *testing.T) {
 		"rap_checkpoint_written_total 1",
 		"rap_checkpoint_seconds_count 1",
 		"rap_checkpoint_staleness_seconds",
-		"rap_trace_evicted_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -193,5 +201,95 @@ func TestStatsReportQueueAndBackoff(t *testing.T) {
 	}
 	if st := in.Stats(); !st.Sources[0].Failed || st.Sources[0].Backoff != 0 {
 		t.Fatalf("terminal source state %+v", st.Sources[0])
+	}
+}
+
+// slowApply is a tap that makes the shard apply sleep a millisecond every
+// 16 events, so a reader outpaces it and keeps its queue full. It runs
+// under the shard lock of a single shard, so its count needs no lock.
+type slowApply struct{ n int }
+
+func (s *slowApply) Tap(uint64, uint64) {
+	if s.n++; s.n%16 == 0 {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func (s *slowApply) TreeReplaced() {}
+
+// TestQueueSaturationRuleKeysOnShedding pins what the stock
+// queue_saturation alert means: events shed, not a full queue. Under
+// Block a full queue is lossless backpressure and must leave the rule ok;
+// under DropNewest the same slow apply sheds events and must fire it.
+func TestQueueSaturationRuleKeysOnShedding(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		drop DropPolicy
+	}{{"block", Block}, {"drop-newest", DropNewest}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			opts := testOptions(1)
+			opts.Drop = tc.drop
+			opts.QueueLen = 4
+			opts.BatchLen = 16
+			opts.Metrics = reg
+			in, err := Open(opts, []SourceSpec{sliceSpec("x", zipfVals(3_000, 31))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.Engine().SetShardTaps(func(int) core.Tap { return &slowApply{} })
+			rec := flight.NewRecorder(reg, flight.Options{})
+			eng := flight.NewEngine(rec, flight.BuiltinRules(flight.BuiltinConfig{})...)
+			scrape := func() (state string, depth float64) {
+				now := time.Now()
+				rec.Scrape(now)
+				depth = rec.Query("rap_ingest_queue_depth", time.Minute, now)[0].Last
+				for _, a := range eng.Snapshot() {
+					if a.Rule.Name == "queue_saturation" {
+						return a.State, depth
+					}
+				}
+				t.Fatal("no queue_saturation rule")
+				return "", 0
+			}
+			scrape()
+
+			done := make(chan error, 1)
+			go func() { done <- in.Run(context.Background()) }()
+			sawFull := false
+			for running := true; running; {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+					running = false
+				case <-time.After(time.Millisecond):
+					if len(in.queues[0].ch) < opts.QueueLen {
+						continue
+					}
+					state, depth := scrape()
+					if depth < float64(opts.QueueLen) {
+						continue
+					}
+					sawFull = true
+					if tc.drop == Block && state != "ok" {
+						t.Fatalf("lossless backpressure fired queue_saturation: %s with the queue full", state)
+					}
+				}
+			}
+			state, _ := scrape()
+			dropped := in.Stats().Dropped
+			switch {
+			case tc.drop == Block && !sawFull:
+				t.Fatal("no scrape saw the queue full; test is vacuous")
+			case tc.drop == Block && state != "ok":
+				t.Fatalf("lossless backpressure fired queue_saturation: %s after the run", state)
+			case tc.drop == DropNewest && dropped == 0:
+				t.Fatal("slow apply shed no events; test is vacuous")
+			case tc.drop == DropNewest && state == "ok":
+				t.Fatalf("shedding %d events left queue_saturation ok", dropped)
+			}
+		})
 	}
 }

@@ -12,10 +12,11 @@ import (
 // TestIngestSpans drives a traced pipeline end to end and checks the span
 // shape: every kept ingest.batch trace carries queue_wait and apply
 // children linked to its root, checkpoint traces carry cut and write
-// children, and an epoch publish triggered inside an apply is attributed
-// to that batch's trace.
+// children, an epoch publish triggered inside an apply is attributed
+// to that batch's trace, and split/merge events are childless
+// zero-duration roots on the same ring.
 func TestIngestSpans(t *testing.T) {
-	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 12, SlowThreshold: -1})
+	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 14, SlowThreshold: -1})
 	reg := obs.NewRegistry()
 	opts := testOptions(2)
 	opts.Metrics = reg
@@ -45,7 +46,7 @@ func TestIngestSpans(t *testing.T) {
 		}
 	}
 
-	var batches, checkpoints, publishes int
+	var batches, checkpoints, publishes, events int
 	for id, root := range roots {
 		kids := map[string]int{}
 		var applyID string
@@ -74,9 +75,17 @@ func TestIngestSpans(t *testing.T) {
 			if kids["cut"] != 1 || kids["write"] != 1 {
 				t.Fatalf("checkpoint trace children = %v", kids)
 			}
+		case "event.split", "event.merge":
+			events++
+			if len(kids) != 0 || root.DurationNs != 0 {
+				t.Fatalf("event %+v has children %v", root, kids)
+			}
 		default:
 			t.Fatalf("unexpected root span %q", root.Name)
 		}
+	}
+	if events == 0 {
+		t.Fatal("no split/merge events recorded")
 	}
 	if batches == 0 {
 		t.Fatal("no ingest.batch traces recorded")

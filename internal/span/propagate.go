@@ -28,7 +28,8 @@ func Encode(c Context) string {
 
 // Decode parses a traceparent value. Per the W3C processing rules it
 // accepts any two-digit version except the invalid ff, requires the
-// version-00 field layout, and rejects all-zero trace or parent IDs.
+// version-00 field layout in lowercase hex, and rejects all-zero trace or
+// parent IDs.
 func Decode(v string) (Context, error) {
 	v = strings.TrimSpace(v)
 	if len(v) < tpLen {
@@ -41,29 +42,37 @@ func Decode(v string) (Context, error) {
 	if v[2] != '-' || v[35] != '-' || v[52] != '-' {
 		return Context{}, fmt.Errorf("span: malformed traceparent %q", v)
 	}
-	var ver [1]byte
-	if _, err := hex.Decode(ver[:], []byte(v[0:2])); err != nil {
-		return Context{}, fmt.Errorf("span: bad traceparent version: %v", err)
+	for _, f := range [...]string{v[0:2], v[3:35], v[36:52], v[53:55]} {
+		if !lowerHex(f) {
+			return Context{}, fmt.Errorf("span: traceparent field %q is not lowercase hex", f)
+		}
 	}
-	if ver[0] == 0xff {
+	if v[0:2] == "ff" {
 		return Context{}, fmt.Errorf("span: invalid traceparent version ff")
 	}
+	// The fields are lowercase hex of the right lengths, so these decodes
+	// cannot fail.
 	var c Context
-	if _, err := hex.Decode(c.Trace[:], []byte(v[3:35])); err != nil {
-		return Context{}, fmt.Errorf("span: bad trace-id: %v", err)
-	}
-	if _, err := hex.Decode(c.Span[:], []byte(v[36:52])); err != nil {
-		return Context{}, fmt.Errorf("span: bad parent-id: %v", err)
-	}
 	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(v[53:55])); err != nil {
-		return Context{}, fmt.Errorf("span: bad trace-flags: %v", err)
-	}
+	hex.Decode(c.Trace[:], []byte(v[3:35]))
+	hex.Decode(c.Span[:], []byte(v[36:52]))
+	hex.Decode(flags[:], []byte(v[53:55]))
 	if !c.Valid() {
 		return Context{}, fmt.Errorf("span: all-zero trace or parent id in %q", v)
 	}
 	c.Sampled = flags[0]&flagSampled != 0
 	return c, nil
+}
+
+// lowerHex reports whether s is all lowercase hex digits; W3C Trace
+// Context says to ignore a traceparent with uppercase ones.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // FromRequest extracts a propagated trace context from the request's

@@ -1,7 +1,10 @@
 package span
 
 import (
+	"fmt"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -75,6 +78,10 @@ func TestDecodeRejects(t *testing.T) {
 		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad separator
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b701",   // shifted fields
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // junk without dash
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",  // uppercase ids
+		"0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // uppercase version
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0F",  // uppercase flags
+		"00-+bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // sign in trace-id
 	}
 	for _, v := range bad {
 		if _, err := Decode(v); err == nil {
@@ -104,4 +111,41 @@ func TestHTTPInjectAndFromRequest(t *testing.T) {
 	if _, ok := FromRequest(req); ok {
 		t.Fatal("invalid header reported ok")
 	}
+}
+
+// FuzzTraceparentDecode feeds Decode arbitrary header values, as an HTTP
+// client may. Decode must never panic, and an accepted value must round
+// trip: re-encoding gives back the trace-id, parent-id and flags of the
+// input (characters 3 to 55 once trimmed), except the flag bits other
+// than sampled, which W3C Trace Context has a propagator zero.
+func FuzzTraceparentDecode(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		" cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-03-extra ",
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		c, err := Decode(v)
+		if err != nil {
+			return
+		}
+		if !c.Valid() {
+			t.Fatalf("Decode(%q) accepted an invalid context %+v", v, c)
+		}
+		in := strings.TrimSpace(v)
+		flags, err := strconv.ParseUint(in[53:55], 16, 8)
+		if err != nil {
+			t.Fatalf("Decode(%q) accepted flags %q", v, in[53:55])
+		}
+		want := fmt.Sprintf("%s%02x", in[3:53], flags&flagSampled)
+		if got := Encode(c)[3:]; got != want {
+			t.Fatalf("Decode(%q) re-encodes as %q, want %q", v, got, want)
+		}
+	})
 }

@@ -18,9 +18,15 @@
 //     wires it to "any alert firing"), every span is recorded, so the
 //     minutes that matter are traced at 100%.
 //
+// The tree's structural decisions (splits, merges, audit findings,
+// admission transitions) are recorded on the same ring as zero-duration
+// root "events" (see Event), under the same policy, so one ring, one
+// sampler and one JSONL row format serve both.
+//
 // Recorded spans land in a fixed-size ring of atomic pointers — writers
 // never block each other or readers — and are exported as JSONL over
-// /spans, in diagnostic bundles, and to offline analysis via rapdiag.
+// /spans (events alone over /trace), in diagnostic bundles, and to
+// offline analysis via rapdiag.
 package span
 
 import (
@@ -32,6 +38,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,13 +114,18 @@ type Record struct {
 	Sampled    bool   `json:"sampled"`        // won the head coin (vs slow/forced promotion)
 	Slow       bool   `json:"slow,omitempty"` // reached the slow-op threshold
 	Attrs      []Attr `json:"attrs,omitempty"`
+
+	// ev holds a recorded event's raw identity and decision; Spans formats
+	// them into the fields above, so recording an event formats nothing.
+	ev *event
 }
 
 // Options configures a Tracer. Zero values select the defaults noted per
 // field.
 type Options struct {
-	// SampleRate keeps 1 in SampleRate root spans (with their children).
-	// 1 keeps everything; 0 selects the default 100 (1%).
+	// SampleRate keeps 1 in SampleRate root spans (with their children)
+	// and 1 in SampleRate events. 1 keeps everything; 0 selects the
+	// default 100 (1%).
 	SampleRate uint64
 	// Capacity is the span ring size. Default 4096.
 	Capacity int
@@ -125,8 +137,9 @@ type Options struct {
 	SlowThreshold time.Duration
 	// Force, when set and returning true, records every span finished
 	// while it holds — the "always-on for ops that trip an alert" policy.
-	// It is consulted once per root start and once per span end; it must
-	// be cheap and safe for concurrent use.
+	// It is consulted once per root start, once per span end, and once per
+	// event that loses its head coin; it must be cheap and safe for
+	// concurrent use.
 	Force func() bool
 }
 
@@ -149,8 +162,9 @@ func (o Options) withDefaults() Options {
 // Tracer creates spans and owns the recorded-span ring. All methods are
 // safe for concurrent use.
 type Tracer struct {
-	opt   Options
-	roots atomic.Uint64 // head-based sampling counter
+	opt    Options
+	roots  atomic.Uint64 // head-based sampling counter
+	events atomic.Uint64 // the events' own head-coin counter (see Event)
 
 	// ring is the bounded lock-free store of finished, kept spans: a
 	// writer claims the next slot with one atomic add and publishes the
@@ -267,6 +281,81 @@ func (tr *Tracer) StartChildAt(parent Context, name string, start time.Time) *Sp
 	}
 }
 
+// EventPrefix begins the name of every event record, so /trace and the
+// bundle's trace.jsonl can select events out of the shared ring.
+const EventPrefix = "event."
+
+// Decision is the state one structural decision was taken on, recorded as
+// an event's attributes: the runtime analogue of the paper's Figure 2
+// region tracking, enough to replay how the tree adapted without holding
+// the stream. Events other than splits and merges reuse the fields (see
+// their call sites).
+type Decision struct {
+	Shard     string  // owning shard; omitted when empty
+	Lo, Hi    uint64  // inclusive range acted on
+	Depth     int     // split steps below the root
+	Count     uint64  // counter the decision compared
+	Threshold float64 // bound it was compared with
+	N         uint64  // stream position at the decision
+}
+
+// attrs renders the decision as span attributes.
+func (d Decision) attrs() []Attr {
+	out := make([]Attr, 0, 7)
+	if d.Shard != "" {
+		out = append(out, Attr{"shard", d.Shard})
+	}
+	return append(out,
+		Attr{"lo", strconv.FormatUint(d.Lo, 10)},
+		Attr{"hi", strconv.FormatUint(d.Hi, 10)},
+		Attr{"depth", strconv.Itoa(d.Depth)},
+		Attr{"count", strconv.FormatUint(d.Count, 10)},
+		Attr{"threshold", strconv.FormatFloat(d.Threshold, 'g', -1, 64)},
+		Attr{"n", strconv.FormatUint(d.N, 10)},
+	)
+}
+
+// event is a recorded Event before Spans formats it.
+type event struct {
+	name  string
+	trace TraceID
+	span  SpanID
+	d     Decision
+}
+
+// Event records one structural decision — a split, a merge, an audit
+// finding, an admission transition — as a zero-duration root record named
+// EventPrefix+name with d as its attributes, on the shared ring. The
+// event is kept when it wins a 1-in-SampleRate head coin counted apart
+// from the root spans' coin, while the Force hook holds, or when always
+// is set (for rare events that must never be sampled away). A dropped
+// decision costs one atomic add and the Force check and allocates
+// nothing; a kept one costs one allocation, since formatting waits for
+// a reader (Spans).
+func (tr *Tracer) Event(name string, always bool, d Decision) {
+	if tr == nil {
+		return
+	}
+	sampled := tr.events.Add(1)%tr.opt.SampleRate == 0
+	forced := !sampled && !always && tr.opt.Force != nil && tr.opt.Force()
+	if !sampled && !forced && !always {
+		return
+	}
+	r := &struct {
+		rec Record
+		ev  event
+	}{
+		rec: Record{StartNano: time.Now().UnixNano(), Sampled: sampled},
+		ev:  event{name: name, trace: newTraceID(), span: newSpanID(), d: d},
+	}
+	r.rec.ev = &r.ev
+	tr.started.Add(1)
+	if forced {
+		tr.forced.Add(1)
+	}
+	tr.store(&r.rec)
+}
+
 // Context returns the span's trace position, for parenting children or
 // encoding a traceparent. The zero Context is returned from a nil span.
 func (s *Span) Context() Context {
@@ -339,12 +428,10 @@ func (s *Span) EndAt(end time.Time) {
 	if !s.parent.IsZero() {
 		rec.ParentID = s.parent.String()
 	}
-	tr.recorded.Add(1)
 	if forced && !s.ctx.Sampled {
 		tr.forced.Add(1)
 	}
-	i := tr.pos.Add(1) - 1
-	tr.ring[i%uint64(len(tr.ring))].Store(rec)
+	tr.store(rec)
 	if slow {
 		tr.slow.Add(1)
 		tr.slowMu.Lock()
@@ -358,7 +445,14 @@ func (s *Span) EndAt(end time.Time) {
 	}
 }
 
-// Started returns the total spans started.
+// store publishes a kept record in the next ring slot.
+func (tr *Tracer) store(rec *Record) {
+	tr.recorded.Add(1)
+	i := tr.pos.Add(1) - 1
+	tr.ring[i%uint64(len(tr.ring))].Store(rec)
+}
+
+// Started returns the total spans started, counting kept events only.
 func (tr *Tracer) Started() uint64 { return tr.started.Load() }
 
 // Recorded returns the total spans kept in the ring (including ones the
@@ -379,9 +473,18 @@ func (tr *Tracer) Evicted() uint64 {
 func (tr *Tracer) Spans() []Record {
 	out := make([]Record, 0, len(tr.ring))
 	for i := range tr.ring {
-		if r := tr.ring[i].Load(); r != nil {
-			out = append(out, *r)
+		r := tr.ring[i].Load()
+		if r == nil {
+			continue
 		}
+		rec := *r
+		if ev := r.ev; ev != nil {
+			rec.TraceID, rec.SpanID = ev.trace.String(), ev.span.String()
+			rec.Name = EventPrefix + ev.name
+			rec.Attrs = ev.d.attrs()
+			rec.ev = nil
+		}
+		out = append(out, rec)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].StartNano < out[j].StartNano })
 	return out
@@ -398,11 +501,23 @@ func (tr *Tracer) SlowOps() []Record {
 	return out
 }
 
-// WriteJSONL writes the retained spans oldest-first, one JSON object per
-// line — the bundle and offline-analysis format.
-func (tr *Tracer) WriteJSONL(w io.Writer) error {
+// named returns the spans whose name begins with prefix, in place.
+func named(spans []Record, prefix string) []Record {
+	kept := spans[:0]
+	for _, s := range spans {
+		if strings.HasPrefix(s.Name, prefix) {
+			kept = append(kept, s)
+		}
+	}
+	return kept
+}
+
+// WriteJSONL writes the retained spans whose name begins with prefix (""
+// for all) oldest-first, one JSON object per line — the bundle and
+// offline-analysis format.
+func (tr *Tracer) WriteJSONL(w io.Writer, prefix string) error {
 	enc := json.NewEncoder(w)
-	for _, rec := range tr.Spans() {
+	for _, rec := range named(tr.Spans(), prefix) {
 		if err := enc.Encode(rec); err != nil {
 			return err
 		}
@@ -414,21 +529,24 @@ func (tr *Tracer) WriteJSONL(w io.Writer) error {
 // ?trace=<32 hex> filters to one trace, ?name=<prefix> to a span-name
 // prefix, ?slow=1 to slow-promoted spans, ?limit=N caps the newest rows.
 func (tr *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	tr.serve(w, r, r.URL.Query().Get("name"))
+}
+
+// EventHandler serves the event records alone — the /trace endpoint,
+// the same rows as /spans?name=event. — with the other ServeHTTP params.
+func (tr *Tracer) EventHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tr.serve(w, r, EventPrefix)
+	})
+}
+
+func (tr *Tracer) serve(w http.ResponseWriter, r *http.Request, prefix string) {
 	q := r.URL.Query()
-	spans := tr.Spans()
+	spans := named(tr.Spans(), prefix)
 	if t := q.Get("trace"); t != "" {
 		kept := spans[:0]
 		for _, s := range spans {
 			if s.TraceID == t {
-				kept = append(kept, s)
-			}
-		}
-		spans = kept
-	}
-	if p := q.Get("name"); p != "" {
-		kept := spans[:0]
-		for _, s := range spans {
-			if len(s.Name) >= len(p) && s.Name[:len(p)] == p {
 				kept = append(kept, s)
 			}
 		}
@@ -465,7 +583,7 @@ func (tr *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Register exports the tracer's self-metrics on reg.
 func (tr *Tracer) Register(reg *obs.Registry) {
-	reg.CounterFunc("rap_span_started_total", "Spans started (before any sampling decision).",
+	reg.CounterFunc("rap_span_started_total", "Spans started (before any sampling decision), and events kept.",
 		func() float64 { return float64(tr.started.Load()) })
 	reg.CounterFunc("rap_span_recorded_total", "Spans kept in the span ring (head-sampled, slow-promoted, or forced).",
 		func() float64 { return float64(tr.recorded.Load()) })

@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,6 +162,7 @@ func TestNilSpanAndTracerSafe(t *testing.T) {
 	}
 	c := tr.StartChild(Context{}, "y")
 	c.End()
+	tr.Event("split", true, Decision{})
 }
 
 func TestRingEviction(t *testing.T) {
@@ -218,7 +223,7 @@ func TestWriteJSONLAndServeHTTP(t *testing.T) {
 	c.EndAt(start.Add(2 * time.Millisecond))
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.WriteJSONL(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	lines := 0
@@ -298,5 +303,118 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Fatalf("metrics missing from snapshot: %v", want)
+	}
+}
+
+// TestEventSampling checks events keep exactly 1 in SampleRate decisions
+// on a coin of their own — root spans keep theirs — and land on the
+// shared ring as zero-duration root records carrying the decision.
+func TestEventSampling(t *testing.T) {
+	tr := New(Options{SampleRate: 4, SlowThreshold: -1})
+	for i := 0; i < 100; i++ {
+		if i%3 == 0 {
+			tr.StartRoot("op").End()
+		}
+		tr.Event("split", false, Decision{Shard: "1", Lo: uint64(i), Hi: uint64(i) + 7, Depth: 2, Count: 9, Threshold: 2.5, N: 1000})
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf, EventPrefix); err != nil {
+		t.Fatal(err)
+	}
+	var events []Record
+	for sc := bufio.NewScanner(&buf); sc.Scan(); {
+		var r Record
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("bad JSONL line: %v", err)
+		}
+		events = append(events, r)
+	}
+	if len(events) != 25 {
+		t.Fatalf("1-in-4 event sampling kept %d of 100", len(events))
+	}
+	for i, r := range events {
+		if r.Name != "event.split" || r.DurationNs != 0 || r.StartNano == 0 || r.ParentID != "" || !r.Sampled ||
+			len(r.TraceID) != 32 || len(r.SpanID) != 16 {
+			t.Fatalf("event record %+v", r)
+		}
+		// Kept decisions are 4, 8, ..., 100: the i-th has lo = 4i+3.
+		lo, hi := strconv.Itoa(4*i+3), strconv.Itoa(4*i+10)
+		want := []Attr{{"shard", "1"}, {"lo", lo}, {"hi", hi}, {"depth", "2"}, {"count", "9"}, {"threshold", "2.5"}, {"n", "1000"}}
+		if fmt.Sprint(r.Attrs) != fmt.Sprint(want) {
+			t.Fatalf("event %d attrs %v, want %v", i, r.Attrs, want)
+		}
+	}
+	if got := len(named(tr.Spans(), "op")); got != 8 { // roots 4, 8, ..., 32 of 34
+		t.Fatalf("root spans kept %d, want 8: events must not consume the roots' coin", got)
+	}
+	if tr.Started() != 34+25 || tr.Recorded() != 8+25 {
+		t.Fatalf("started %d, recorded %d; want 59, 33", tr.Started(), tr.Recorded())
+	}
+}
+
+// TestEventAlwaysAndForced checks the two ways a decision that lost the
+// coin is still kept: always (audit and admission events), and the Force
+// hook.
+func TestEventAlwaysAndForced(t *testing.T) {
+	var force atomic.Bool
+	tr := New(Options{SampleRate: 1 << 60, SlowThreshold: -1, Force: force.Load})
+	for i := 0; i < 50; i++ {
+		tr.Event("audit_violation", true, Decision{Lo: uint64(i)})
+	}
+	tr.Event("split", false, Decision{})
+	force.Store(true)
+	tr.Event("merge", false, Decision{})
+	spans := tr.Spans()
+	if len(spans) != 51 {
+		t.Fatalf("ring holds %d, want 51 (50 always, 1 forced, 1 dropped)", len(spans))
+	}
+	if spans[50].Name != "event.merge" || spans[0].Name != "event.audit_violation" || spans[0].Sampled {
+		t.Fatalf("records %+v ... %+v", spans[0], spans[50])
+	}
+	if tr.forced.Load() != 1 {
+		t.Fatalf("forced = %d, want 1: always events are not forced", tr.forced.Load())
+	}
+}
+
+// TestEventDroppedAllocatesNothing pins the cost of a dropped decision,
+// paid on every split and merge of every shard tree.
+func TestEventDroppedAllocatesNothing(t *testing.T) {
+	tr := New(Options{SampleRate: 1 << 60, SlowThreshold: -1, Force: func() bool { return false }})
+	d := Decision{Shard: "0", Lo: 1, Hi: 2}
+	if allocs := testing.AllocsPerRun(1000, func() { tr.Event("split", false, d) }); allocs != 0 {
+		t.Fatalf("dropped decision allocates %v times", allocs)
+	}
+	if tr.Recorded() != 0 {
+		t.Fatalf("recorded %d, want 0", tr.Recorded())
+	}
+}
+
+// TestEventHandler checks /trace serves the event rows alone, the same
+// rows /spans?name=event. selects, while /spans serves both kinds.
+func TestEventHandler(t *testing.T) {
+	tr := New(Options{SampleRate: 1, SlowThreshold: -1})
+	tr.StartRoot("v1.estimate").End()
+	tr.Event("split", false, Decision{})
+	tr.Event("merge", false, Decision{})
+	get := func(h http.Handler, url string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/jsonl" {
+			t.Fatalf("%s -> %d %q", url, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		return rec.Body.String()
+	}
+	events := get(tr.EventHandler(), "/trace")
+	if n := strings.Count(events, "\n"); n != 2 || strings.Contains(events, "v1.estimate") {
+		t.Fatalf("/trace = %q, want the 2 events alone", events)
+	}
+	if got := get(tr, "/spans?name="+EventPrefix); got != events {
+		t.Fatalf("/spans?name=event. = %q, /trace = %q", got, events)
+	}
+	if n := strings.Count(get(tr, "/spans"), "\n"); n != 3 {
+		t.Fatalf("/spans rows = %d, want 3", n)
+	}
+	if n := strings.Count(get(tr.EventHandler(), "/trace?limit=1"), "\n"); n != 1 {
+		t.Fatalf("/trace?limit=1 rows = %d", n)
 	}
 }

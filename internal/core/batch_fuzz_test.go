@@ -29,7 +29,7 @@ func FuzzAddBatchEquivalence(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := testConfig(16, 4, 0.05)
-		cfg.FirstMerge = 16 // merge often: stale-cache bugs live here
+		cfg.FirstMerge = 16 // merge often: stale-finger bugs live here
 		sequential := MustNew(cfg)
 		viaSamples := MustNew(cfg)
 		viaBatch := MustNew(cfg)

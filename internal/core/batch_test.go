@@ -101,36 +101,36 @@ func sortUint64s(s []uint64) {
 	}
 }
 
-// TestLeafCacheSurvivesStructuralRewrites is the stale-cache regression
-// suite: each subtest warms the last-leaf cache with a batched run, fires
+// TestFingerSurvivesStructuralRewrites is the stale-finger regression
+// suite: each subtest warms the descent finger with a batched run, fires
 // one structural rewrite that detaches or replaces nodes (merge batch,
 // Merge, Restore), then keeps batching and requires the tree to stay
-// byte-identical to a control that never cached. Before cache
-// invalidation was wired into these rewrites, each subtest corrupted
-// counts by crediting a node the tree no longer reaches.
-func TestLeafCacheSurvivesStructuralRewrites(t *testing.T) {
+// byte-identical to a control whose every descent starts at the root.
+// Without the finger drop in a rewrite, its subtest credits a node the
+// tree no longer reaches.
+func TestFingerSurvivesStructuralRewrites(t *testing.T) {
 	cfg := batchTestConfig()
 	warm := skewedPoints(4, 50_000)
 	cont := skewedPoints(5, 50_000)
 
 	run := func(t *testing.T, rewrite func(tr *Tree), controlRewrite func(tr *Tree)) {
 		t.Helper()
-		cached := MustNew(cfg)
+		fingered := MustNew(cfg)
 		control := MustNew(cfg)
-		cached.AddBatch(warm) // warms lastLeaf
+		fingered.AddBatch(warm) // warms the finger
 		for _, p := range warm {
-			control.Add(p)
+			control.addRooted(p, 1)
 		}
-		rewrite(cached)
+		rewrite(fingered)
 		controlRewrite(control)
-		cached.AddBatch(cont)
+		fingered.AddBatch(cont)
 		for _, p := range cont {
-			control.Add(p)
+			control.addRooted(p, 1)
 		}
-		if cached.Total() != cached.N() {
-			t.Fatalf("stale cache lost events: Total=%d N=%d", cached.Total(), cached.N())
+		if fingered.Total() != fingered.N() {
+			t.Fatalf("stale finger lost events: Total=%d N=%d", fingered.Total(), fingered.N())
 		}
-		if !bytes.Equal(mustMarshal(t, cached), mustMarshal(t, control)) {
+		if !bytes.Equal(mustMarshal(t, fingered), mustMarshal(t, control)) {
 			t.Fatal("batched tree diverged from control after structural rewrite")
 		}
 	}
@@ -161,13 +161,13 @@ func TestLeafCacheSurvivesStructuralRewrites(t *testing.T) {
 	})
 }
 
-// TestCloneDoesNotShareLeafCache: a clone taken mid-batch must not carry
-// the donor's cache — batched writes through an aliased cache would land
-// in the donor's nodes.
-func TestCloneDoesNotShareLeafCache(t *testing.T) {
+// TestCloneDoesNotShareFinger: a clone taken mid-batch must not share
+// the donor's finger — batched writes through an aliased finger would
+// land in the donor's nodes.
+func TestCloneDoesNotShareFinger(t *testing.T) {
 	cfg := batchTestConfig()
 	donor := MustNew(cfg)
-	donor.AddBatch(skewedPoints(8, 40_000)) // leaves lastLeaf warm
+	donor.AddBatch(skewedPoints(8, 40_000)) // leaves the finger warm
 	before := mustMarshal(t, donor)
 
 	clone := donor.Clone()

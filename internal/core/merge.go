@@ -47,7 +47,7 @@ func (t *Tree) Merge(other *Tree) error {
 		return ErrConfigMismatch
 	}
 	t.graft(0, other, 0)
-	t.invalidateLeafCache()
+	t.dropFinger()
 	t.n += other.n
 	t.unadmitted += other.unadmitted
 	t.splits += other.splits
@@ -142,8 +142,8 @@ func (t *Tree) Clone() *Tree {
 	nt.tap = nil
 	nt.adm = nil // the clone is a passive snapshot; it keeps the unadmitted ledger
 	// Slot indices stay meaningful across the copy, but the clone starts
-	// cold anyway: a snapshot's first batch re-warms the cache in one miss.
-	nt.lastLeaf = nilIdx
+	// with an empty finger anyway: its first descent refills it.
+	nt.dropFinger()
 	nt.arena = append([]node(nil), t.arena...)
 	for k, fl := range t.free {
 		nt.free[k] = append([]uint32(nil), fl...)

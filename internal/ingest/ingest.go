@@ -688,7 +688,7 @@ func (in *Ingestor) restore(st *checkpointState) error {
 // apply folds one batch into the engine under its shard's lock, advancing
 // the source's applied position in the same critical section so
 // checkpoint cuts stay exact. The whole chunk is handed to the tree's
-// batched fast path, then recycled to the readers.
+// batched entry point, then recycled to the readers.
 func (in *Ingestor) apply(q *shardQueue, b batch) {
 	defer in.putChunk(b.events)
 	defer in.recordDecisions(q)

@@ -135,7 +135,7 @@ func (h *Handle) AddN(p uint64, weight uint64) {
 }
 
 // AddBatch records a run of points under one lock acquisition, through
-// the tree's batched fast path (last-leaf cache, per-point Add semantics).
+// the tree's batched entry point (per-point Add semantics).
 func (h *Handle) AddBatch(points []uint64) {
 	h.sh.mu.Lock()
 	h.sh.tree.AddBatch(points)
@@ -178,7 +178,7 @@ func (e *Engine) AddN(p uint64, weight uint64) {
 }
 
 // AddBatch records a batch of points on one round-robin shard under a
-// single lock acquisition, through the tree's batched fast path.
+// single lock acquisition, through the tree's batched entry point.
 func (e *Engine) AddBatch(points []uint64) {
 	sh := e.pick()
 	sh.mu.Lock()

@@ -318,11 +318,10 @@ func TestAdmitterSurvivesRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreDropsLeafCache: a shard that batched before Restore must
-// keep batching correctly after, against a fresh control tree fed the
-// same way — the batched fast path's last-leaf cache must not survive
-// the tree swap.
-func TestRestoreDropsLeafCache(t *testing.T) {
+// TestRestoreDropsFinger: a shard that batched before Restore must keep
+// batching correctly after, against a fresh control tree fed the same way
+// — the tree's descent finger must not survive the tree swap.
+func TestRestoreDropsFinger(t *testing.T) {
 	cfg := testConfig()
 	donor, err := New(cfg, 1)
 	if err != nil {
@@ -338,7 +337,7 @@ func TestRestoreDropsLeafCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.AddBatch(zipfPoints(11, 20_000)) // leaves the leaf cache warm
+	e.AddBatch(zipfPoints(11, 20_000)) // leaves the finger warm
 	if err := e.Restore(snap); err != nil {
 		t.Fatal(err)
 	}

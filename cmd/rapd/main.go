@@ -167,7 +167,7 @@ func parseFlags(args []string, errOut io.Writer) cliConfig {
 	fs.Uint64Var(&c.auditSample, "audit-sample", audit.DefaultSamplePeriod, "range adoption gate: 1 in N of the hash space seeds a new audited range")
 	fs.BoolVar(&c.readSnapshots, "read-snapshots", true, "publish epoch read snapshots so queries (including /v1) answer lock-free from an immutable cut")
 	fs.Uint64Var(&c.snapshotEvery, "snapshot-every", 0, "offered events between epoch publishes (0: default 65536)")
-	fs.DurationVar(&c.snapshotMaxStale, "snapshot-max-stale", time.Second, "bound on wall-clock epoch staleness for slow or idle streams")
+	fs.DurationVar(&c.snapshotMaxStale, "snapshot-max-stale", ingest.DefaultSnapshotMaxStale, "bound on wall-clock epoch staleness: publish an epoch this often while events arrive")
 	fs.BoolVar(&c.admit, "admit", false, "run the randomized admission frontend (cold points pay a coin toll; refused mass is ledgered into bounds)")
 	fs.Uint64Var(&c.admitPeriod, "admit-period", 8, "admission coin period at Normal (cold point passes with probability 1/period)")
 	fs.Uint64Var(&c.admitArenaSoft, "admit-arena-soft", 8<<20, "watchdog arena bytes that escalate admission to Defensive")

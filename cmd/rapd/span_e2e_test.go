@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rap/internal/core"
 	"rap/internal/ingest"
 	"rap/internal/obs"
 	"rap/internal/span"
@@ -88,6 +89,14 @@ type profilezDoc struct {
 	} `json:"stages"`
 }
 
+// p99Obs is the observation count a stage needs before its adaptive p99
+// is held to the ladder's. The top 1% must hold several times the tree's
+// cold-start split guard, or the tail never refines past a coarse node
+// and only the ladder resolves it. At four times, a simulated 1–3% tail
+// spread over two decades put p99 more than one bucket off in 0–3 of 200
+// trials.
+const p99Obs = 100 * 4 * core.DefaultMinSplitCount
+
 // TestSpanTracingEndToEnd is the tracing acceptance story: a pipeline
 // run with sampling at 1-in-1 must link every stage of a batch's life
 // under one trace, honor and echo a client traceparent on /v1, agree
@@ -104,9 +113,10 @@ func TestSpanTracingEndToEnd(t *testing.T) {
 	path := filepath.Join(dir, "events.trace")
 	writeTrace(t, path, vals)
 
+	// 8-event batches give the apply stage 5000 observations (p99Obs).
 	c := cliConfig{
 		traces: []string{path},
-		shards: 2, drop: "block", epsilon: 0.05, universe: 20, branch: 4,
+		shards: 2, drop: "block", epsilon: 0.05, universe: 20, branch: 4, batch: 8,
 		readTimeout: 5 * time.Second, maxRetries: 2,
 		readSnapshots: true, snapshotEvery: 4096, snapshotMaxStale: time.Second,
 		checkpointDir: filepath.Join(dir, "ck"), checkpointEvery: time.Hour,
@@ -118,8 +128,9 @@ func TestSpanTracingEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
 	// Sample every trace: the test asserts structure, not sampling math
-	// (span package tests pin the rates).
-	tracer := span.New(span.Options{SampleRate: 1, Capacity: 1 << 14, SlowThreshold: -1})
+	// (span package tests pin the rates). The ring holds every span of
+	// the run, so exemplars from the first queries still resolve.
+	tracer := span.New(span.Options{SampleRate: 1, Capacity: 1 << 16, SlowThreshold: -1})
 	tracer.Register(reg)
 	opts.Tracer = tracer
 	specs, err := c.specs(nil)
@@ -244,11 +255,9 @@ func TestSpanTracingEndToEnd(t *testing.T) {
 	}
 
 	// --- /profilez: adaptive profiles agree with the fixed ladder. ---
-	// Drive enough queries that the "query" stage has a real distribution:
-	// adaptive quantile resolution is governed by the mass stuck at coarse
-	// nodes while the tree is shallow, so the octave-agreement assertion
-	// below needs a few hundred samples, not a handful.
-	for i := 0; i < 300; i++ {
+	// Drive enough queries that the "query" stage's p99 is resolvable
+	// (p99Obs).
+	for i := 0; i < p99Obs; i++ {
 		if code, body, _ := get(t, base+"/v1/estimate?lo=0&hi=1048575"); code != http.StatusOK {
 			t.Fatalf("query %d = %d: %s", i, code, body)
 		}
@@ -288,6 +297,9 @@ func TestSpanTracingEndToEnd(t *testing.T) {
 		}
 		if st.Ladder.Count != st.Count {
 			t.Errorf("stage %q: ladder count %d vs adaptive %d", stage, st.Ladder.Count, st.Count)
+		}
+		if st.Count < p99Obs {
+			t.Fatalf("stage %q: %d observations, the p99 comparison needs %d", stage, st.Count, p99Obs)
 		}
 		for _, q := range []struct {
 			name             string

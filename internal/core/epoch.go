@@ -7,9 +7,11 @@ import (
 
 // DefaultPublishEvery is the default publish cadence for epoch read
 // snapshots: a fresh epoch is cut after this much offered event weight.
-// 64Ki events keeps worst-case staleness small relative to any realistic
-// merge interval while making the clone cost (one slab copy per shard) a
-// rounding error per event.
+// It bounds staleness on fast streams (at ~8M events/s, an epoch every
+// ~8 ms); on slower ones a wall-clock timer cuts the epochs instead (the
+// ingest pipeline's SnapshotMaxStale). A publish costs about one clone of
+// each shard holding mass, about 1 ns per event at 64Ki events even on a
+// ~38k-node tree.
 const DefaultPublishEvery = 1 << 16
 
 // Epoch is one immutable published snapshot of a profile: a read-only

@@ -30,13 +30,29 @@ var ErrSelfMerge = errors.New("core: cannot merge a tree into itself")
 // and the stream lengths sum. other is read but never modified, so a
 // caller may merge a live shard tree while holding only that shard's lock.
 //
-// After the union, every node is re-checked against the split threshold at
-// the combined n — ranges that were hot in neither half but are hot in the
-// union sprout children so subsequent updates keep refining them — and the
-// merge schedule is advanced to the larger of the two intervals. Merge
-// does not run a merge batch; call MergeNow (or Finalize) to compact the
-// result.
+// Merge is Union followed by the post-merge split re-check: every node is
+// re-checked against the split threshold at the combined n, so ranges that
+// were hot in neither half but are hot in the union sprout children and
+// subsequent updates keep refining them. Merge does not run a merge batch;
+// call MergeNow (or Finalize) to compact the result.
 func (t *Tree) Merge(other *Tree) error {
+	if other == nil {
+		return nil
+	}
+	if err := t.Union(other); err != nil {
+		return err
+	}
+	t.resplit(0, 0)
+	return nil
+}
+
+// Union is Merge without the split re-check: the structural union of the
+// two trees, the stream lengths and ledgers summed, and the merge schedule
+// advanced to the larger of the two intervals. The re-check only adds
+// zero-count children, which change no estimate, bound or hot range; they
+// matter only to a tree that keeps ingesting. Union therefore suits a
+// union that is only queried, such as a published epoch.
+func (t *Tree) Union(other *Tree) error {
 	if other == nil {
 		return nil
 	}
@@ -64,7 +80,6 @@ func (t *Tree) Merge(other *Tree) error {
 	if next := t.n + t.mergeInterval; next > t.nextMerge {
 		t.nextMerge = next
 	}
-	t.resplit(0, 0)
 	return nil
 }
 

@@ -52,6 +52,11 @@ const (
 	DropNewest
 )
 
+// DefaultSnapshotMaxStale is the default Options.SnapshotMaxStale: the
+// staleness timer's period, and so the age bound of epoch answers on a
+// stream too slow to reach the event cadence first.
+const DefaultSnapshotMaxStale = 25 * time.Millisecond
+
 // ErrStalled is the error a source is retried with when a read exceeds
 // ReadTimeout.
 var ErrStalled = errors.New("ingest: source read stalled")
@@ -172,10 +177,14 @@ type Options struct {
 	// with ReadSnapshots.
 	SnapshotEvery uint64
 
-	// SnapshotMaxStale bounds wall-clock epoch staleness on slow or idle
-	// streams (default 1s): Run publishes a fresh epoch on this cadence
-	// whenever events arrived since the last publish. Only meaningful
-	// with ReadSnapshots.
+	// SnapshotMaxStale bounds wall-clock epoch staleness (default 25ms):
+	// Run publishes a fresh epoch on this cadence whenever events arrived
+	// since the last publish, so on a stream slower than SnapshotEvery
+	// per SnapshotMaxStale the timer, not the event cadence, cuts the
+	// epochs. A publish costs about one shard clone, and the timer never
+	// starts one sooner than 20 times the previous publish's duration
+	// after it (shard.Engine.PublishStale). Only meaningful with
+	// ReadSnapshots.
 	SnapshotMaxStale time.Duration
 
 	// Tracer, when set, threads request-scoped spans through the pipeline:
@@ -225,7 +234,7 @@ func (o Options) withDefaults() Options {
 		o.AdmissionObserveEvery = time.Second
 	}
 	if o.SnapshotMaxStale <= 0 {
-		o.SnapshotMaxStale = time.Second
+		o.SnapshotMaxStale = DefaultSnapshotMaxStale
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -841,14 +850,7 @@ func (in *Ingestor) Run(ctx context.Context) error {
 	stopAdm := every(in.adm != nil, in.opts.AdmissionObserveEvery, func() {
 		in.adm.Observe(in.engine.Stats())
 	})
-	stopPub := every(in.opts.ReadSnapshots, in.opts.SnapshotMaxStale, func() {
-		// Publish only when events arrived since the last epoch: an idle
-		// stream keeps its (already current) epoch instead of burning
-		// clones on nothing.
-		if in.engine.PublishPending() > 0 {
-			in.engine.PublishNow()
-		}
-	})
+	stopPub := every(in.opts.ReadSnapshots, in.opts.SnapshotMaxStale, in.publishStale)
 	stopAudit := every(in.aud != nil, in.opts.AuditEvery, in.auditPass)
 
 	readers.Wait()
@@ -914,6 +916,20 @@ func every(on bool, d time.Duration, fn func()) (stop func()) {
 		close(done)
 		<-exited
 	}
+}
+
+// publishStale is the staleness timer's tick: it publishes a fresh epoch
+// when events arrived since the last one (an idle stream keeps its
+// already current epoch), and records the publish as an epoch_publish
+// root span under the tracer's sampling.
+func (in *Ingestor) publishStale() {
+	start := time.Now()
+	if !in.engine.PublishStale() {
+		return
+	}
+	sp := in.opts.Tracer.StartRootAt("epoch_publish", start)
+	sp.SetAttr("trigger", "staleness timer")
+	sp.End()
 }
 
 // auditPass runs one audit pass and logs its outcome; a violation is an

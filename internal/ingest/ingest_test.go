@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"rap/internal/core"
 	"rap/internal/exact"
 	"rap/internal/faults"
+	"rap/internal/span"
 	"rap/internal/trace"
 )
 
@@ -337,6 +339,74 @@ func TestLivePipeEventsStayFresh(t *testing.T) {
 				t.Fatalf("N = %d after the pipe closed, want %d", got, want)
 			}
 		})
+	}
+}
+
+// TestPacedStreamEpochsTrailByCadence: on a live stream far slower than
+// SnapshotEvery, the staleness timer cuts the epochs, so a written event
+// reaches a published epoch within about one timer period. The median
+// over paced writes must stay within twice the default period, and the
+// timer's publishes must be traced as epoch_publish roots.
+func TestPacedStreamEpochsTrailByCadence(t *testing.T) {
+	pr, pw := io.Pipe()
+	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 12, SlowThreshold: -1})
+	opts := testOptions(4)
+	opts.ReadSnapshots = true
+	opts.Tracer = tr
+	in, err := Open(opts, []SourceSpec{ReaderSource("paced", pr)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- in.Run(context.Background()) }()
+
+	tw := trace.NewWriter(pw)
+	pub := in.Engine().Publisher()
+	var lags []time.Duration
+	written := 0
+	for i := 0; i < 24; i++ {
+		for j := 0; j < 8; j++ {
+			if err := tw.Write(trace.Event{Value: uint64(written), Weight: 1}); err != nil {
+				t.Fatal(err)
+			}
+			written++
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wrote := time.Now()
+		for pub.Current().CutN() < uint64(written) {
+			if time.Since(wrote) > 5*time.Second {
+				pw.Close()
+				t.Fatalf("event %d not in an epoch 5s after its write", written)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		lags = append(lags, time.Since(wrote))
+		// Vary the next write's phase against the timer.
+		time.Sleep(time.Duration(i%5) * 3 * time.Millisecond)
+	}
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if written >= int(core.DefaultPublishEvery) {
+		t.Fatalf("%d events reach the event cadence; the timer is not what is tested", written)
+	}
+	slices.Sort(lags)
+	const cadence = 25 * time.Millisecond // the default SnapshotMaxStale
+	if p50 := lags[len(lags)/2]; p50 > 2*cadence {
+		t.Fatalf("median write-to-epoch lag %v over %d paced writes, want <= 2 x %v (lags %v)",
+			p50, len(lags), cadence, lags)
+	}
+	timer := 0
+	for _, s := range tr.Spans() {
+		if s.Name == "epoch_publish" && s.ParentID == "" {
+			timer++
+		}
+	}
+	if timer == 0 {
+		t.Fatal("no staleness-timer epoch_publish root span recorded at 1-in-1 sampling")
 	}
 }
 

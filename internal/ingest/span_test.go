@@ -75,6 +75,11 @@ func TestIngestSpans(t *testing.T) {
 			if kids["cut"] != 1 || kids["write"] != 1 {
 				t.Fatalf("checkpoint trace children = %v", kids)
 			}
+		case "epoch_publish":
+			// A staleness-timer publish: a childless root naming its trigger.
+			if len(kids) != 0 || len(root.Attrs) != 1 || root.Attrs[0] != (span.Attr{Key: "trigger", Value: "staleness timer"}) {
+				t.Fatalf("timer publish root %+v has children %v", root, kids)
+			}
 		case "event.split", "event.merge":
 			events++
 			if len(kids) != 0 || root.DurationNs != 0 {

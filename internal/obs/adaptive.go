@@ -151,12 +151,19 @@ func (a *AdaptiveHistogram) NodeCount() int {
 // in ambiguity — enough to collapse low quantiles to zero (charge it all
 // left) or push high quantiles to the universe top (charge it all
 // right). The histogram recovers the resolution with two facts the raw
-// bracket ignores. First, a coarse node's retained count is an early
-// sample of the same latency stream its descendants describe, so it is
-// redistributed down the tree in proportion to each child subtree's
-// mass rather than spread over the node's full width. Second, the
-// histogram tracks the exact observed extremes, so terminal segments
-// are clipped to [minNs, maxNs] and the prefix-mass function hits
+// bracket ignores. First, a coarse node's count up to its split (at most
+// the split threshold plus one) is an early sample of the same latency
+// stream its descendants describe, so that part is redistributed down the
+// tree in proportion to each child subtree's mass. Anything the node
+// counted past that arrived after it split, so it fell where no live
+// child covered it: a range whose child had been merged away. That is
+// the thin part of the node's range, never its heaviest child, which
+// held mass all along; so the surplus is spread over the node's range
+// outside its heaviest child, by width. On a latency stream with a
+// sparse tail spread over decades this is where the tail lives, and
+// handing it to the children pro rata would pour it into the body.
+// Second, the histogram tracks the exact observed extremes, so terminal
+// segments are clipped to [minNs, maxNs] and the prefix-mass function hits
 // exactly 0 below the minimum and exactly n at the maximum. Bisecting
 // that function (with an ε·n slack on the target rank so redistribution
 // leakage at a mass cliff cannot push the answer into an empty gap)
@@ -195,6 +202,7 @@ func (a *AdaptiveHistogram) Quantile(q float64) float64 {
 		rate      float64 // pushed mass per unit of child subtree mass
 		hasChild  bool
 		childMass float64
+		heavy     int // child with the most subtree mass
 	}
 	nodes := make([]qnode, 0, 64)
 	stack := make([]int, 0, 16)
@@ -216,6 +224,9 @@ func (a *AdaptiveHistogram) Quantile(q float64) float64 {
 		nodes[i].sub += nodes[i].own
 		if p := nodes[i].parent; p >= 0 {
 			nodes[p].sub += nodes[i].sub
+			if !nodes[p].hasChild || nodes[i].sub > nodes[nodes[p].heavy].sub {
+				nodes[p].heavy = i
+			}
 			nodes[p].hasChild = true
 			nodes[p].childMass += nodes[i].sub
 		}
@@ -226,6 +237,18 @@ func (a *AdaptiveHistogram) Quantile(q float64) float64 {
 		c      float64
 	}
 	segs := make([]seg, 0, len(nodes))
+	// spread adds a segment of mass c over [lo, hi] clipped to the
+	// observed extremes; width is the length of that clipped range.
+	spread := func(lo, hi uint64, c float64) {
+		segs = append(segs, seg{lo: max(lo, a.minNs), hi: min(hi, a.maxNs), c: c})
+	}
+	width := func(lo, hi uint64) float64 {
+		if lo, hi = max(lo, a.minNs), min(hi, a.maxNs); lo <= hi {
+			return float64(hi - lo + 1)
+		}
+		return 0
+	}
+	early := math.Floor(a.tree.SplitThreshold()) + 1
 	for i := range nodes {
 		v := &nodes[i]
 		if p := v.parent; p >= 0 {
@@ -233,22 +256,36 @@ func (a *AdaptiveHistogram) Quantile(q float64) float64 {
 		}
 		m := v.own + v.extra
 		if v.hasChild && v.childMass > 0 {
-			// Descendants witnessed where this node's mass really lives:
-			// hand everything down pro rata.
+			// Descendants witnessed where the early sample lives: hand
+			// it down pro rata. The count past it goes to the range
+			// outside the heaviest child (see above), or over the whole
+			// range when that child covers everything observed.
+			if late := v.own - min(v.own, early); late > 0 {
+				h := &nodes[v.heavy]
+				var left, right float64
+				if h.lo > v.lo {
+					left = width(v.lo, h.lo-1)
+				}
+				if h.hi < v.hi {
+					right = width(h.hi+1, v.hi)
+				}
+				if left+right == 0 {
+					spread(v.lo, v.hi, late)
+				}
+				if left > 0 {
+					spread(v.lo, h.lo-1, late*left/(left+right))
+				}
+				if right > 0 {
+					spread(h.hi+1, v.hi, late*right/(left+right))
+				}
+				m -= late
+			}
 			v.rate = m / v.childMass
 			continue
 		}
-		if m <= 0 {
-			continue
+		if m > 0 {
+			spread(v.lo, v.hi, m)
 		}
-		lo, hi := v.lo, v.hi
-		if lo < a.minNs {
-			lo = a.minNs
-		}
-		if hi > a.maxNs {
-			hi = a.maxNs
-		}
-		segs = append(segs, seg{lo: lo, hi: hi, c: m})
 	}
 
 	prefix := func(x uint64) float64 {

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -86,6 +88,34 @@ func TestAdaptiveAgreesWithLadder(t *testing.T) {
 		}
 		if !withinOneLadderBucket(ladder, lad, ada) {
 			t.Errorf("q=%v: ladder %v vs adaptive %v differ by more than one bucket", q, lad, ada)
+		}
+	}
+}
+
+// TestAdaptiveSparseTailAgreesWithLadder: a 2% tail spread over two
+// decades (10µs–1ms) above a 3µs body, the shape a stage takes on a
+// loaded host. The tail is too thin to refine, so most of it sits in
+// coarse nodes' own counts; p99 must still land within one ladder bucket
+// of the ladder's (and of the exact) p99, not inside the body.
+func TestAdaptiveSparseTailAgreesWithLadder(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fixed := NewRegistry().Duration("lat", "")
+		a := NewAdaptiveHistogram()
+		xs := make([]float64, 10_000)
+		for i := range xs {
+			ns := 3e3 * math.Exp(0.3*rng.NormFloat64())
+			if rng.Float64() < 0.02 {
+				ns = 10e3 * math.Pow(100, rng.Float64())
+			}
+			xs[i] = ns / 1e9
+			fixed.ObserveDuration(time.Duration(ns))
+			a.Observe(time.Duration(ns))
+		}
+		sort.Float64s(xs)
+		exact, lad, ada := xs[len(xs)*99/100], fixed.Quantile(0.99), a.Quantile(0.99)
+		if !withinOneLadderBucket(LatencyBuckets(), lad, ada) || !withinOneLadderBucket(LatencyBuckets(), exact, ada) {
+			t.Errorf("seed %d: p99 adaptive %v vs ladder %v, exact %v: more than one bucket apart", seed, ada, lad, exact)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"runtime"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rap/internal/core"
 	"rap/internal/stats"
 )
 
@@ -276,5 +278,95 @@ func TestRestoreAndAdoptShardRepublish(t *testing.T) {
 	if ep.N() <= 8_000-2_000 || ep.N() == 8_000 {
 		// shard 0 held ~2000 of the 8000 events and was replaced by 1000.
 		t.Fatalf("epoch N after AdoptShard = %d (adopt did not republish)", ep.N())
+	}
+}
+
+// TestOneShardEpochIsItsClone: with one shard holding mass, the epoch is
+// that shard's clone, byte for byte, and stays frozen while the shard
+// keeps ingesting.
+func TestOneShardEpochIsItsClone(t *testing.T) {
+	e, err := New(testConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.EnableReadSnapshots(1 << 40)
+	pts := zipfPoints(5, 20_000)
+	e.WithShard(2, func(tr *core.Tree) { tr.AddBatch(pts) })
+	e.PublishNow()
+
+	var shard []byte
+	e.WithShard(2, func(tr *core.Tree) { shard, err = tr.MarshalBinary() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := e.Reader()
+	defer ep.Release()
+	got, err := ep.Tree().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, shard) {
+		t.Fatalf("epoch snapshot (%d bytes) differs from shard 2's (%d bytes)", len(got), len(shard))
+	}
+	e.WithShard(2, func(tr *core.Tree) { tr.AddBatch(pts) })
+	if again, _ := ep.Tree().MarshalBinary(); !bytes.Equal(again, got) {
+		t.Fatal("epoch changed when its shard ingested after the publish")
+	}
+}
+
+// TestPublishStaleGuard: after a slow publish, PublishStale waits
+// publishGuard times that publish's duration before it publishes again,
+// and it never publishes when nothing arrived.
+func TestPublishStaleGuard(t *testing.T) {
+	e, err := New(testConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.PublishStale() {
+		t.Fatal("PublishStale published with read snapshots disabled")
+	}
+	e.EnableReadSnapshots(1 << 40)
+	pub := e.Publisher()
+	// publishSoon polls PublishStale until the guard after the previous
+	// (fast) publish lapses.
+	publishSoon := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !e.PublishStale() {
+			if time.Now().After(deadline) {
+				t.Fatal("PublishStale never published a pending event")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	e.Add(1)
+	publishSoon()
+	time.Sleep(10 * time.Millisecond)
+	if e.PublishStale() {
+		t.Fatal("PublishStale published with nothing pending")
+	}
+
+	// Stand in for a slow publish that just ended: it took 20ms, so the
+	// next timer publish waits until 400ms after it. The loop stops
+	// checking 100ms early, margin for a descheduled test goroutine.
+	const slow = 20 * time.Millisecond
+	e.pubMu.Lock()
+	e.pubEnd, e.pubDur = time.Now(), slow
+	e.pubMu.Unlock()
+	e.Add(2)
+	before := pub.Published()
+	for time.Since(e.pubEnd) < publishGuard*slow-5*slow {
+		if e.PublishStale() {
+			t.Fatalf("PublishStale published %v after a %v publish, guard is %v",
+				time.Since(e.pubEnd), slow, publishGuard*slow)
+		}
+		time.Sleep(slow)
+	}
+	publishSoon()
+	if pub.Published() != before+1 {
+		t.Fatalf("published %d epochs, want 1", pub.Published()-before)
+	}
+	if ep := pub.Current(); ep.N() != 2 {
+		t.Fatalf("epoch N = %d, want 2", ep.N())
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rap/internal/core"
 )
@@ -50,11 +51,14 @@ type Engine struct {
 
 	// Epoch read path. pub is nil until EnableReadSnapshots. pubMu
 	// serializes publishes (writer-side only — readers never touch it);
-	// pubPend counts offered events since the last publish.
+	// pubPend counts offered events since the last publish. pubEnd and
+	// pubDur, guarded by pubMu, time the last publish for PublishStale.
 	pub      atomic.Pointer[core.EpochPublisher]
 	pubEvery atomic.Uint64
 	pubPend  atomic.Uint64
 	pubMu    sync.Mutex
+	pubEnd   time.Time
+	pubDur   time.Duration
 }
 
 // treeShard is one stripe: a tree and the lock that guards it. Shards are
@@ -217,14 +221,14 @@ func (e *Engine) WithShard(i int, fn func(t *core.Tree)) {
 
 // EnableReadSnapshots switches the engine's query methods to the epoch
 // read path: every `every` offered events (0 selects
-// core.DefaultPublishEvery) the shards are cloned — one slab copy per
-// shard, each under its own lock only — merged lock-free, and published
-// as an immutable Epoch. Estimate/EstimateBounds/HotRanges then answer
-// from the latest epoch with zero lock acquisitions. Idempotent; the
-// first call publishes an initial epoch so readers never observe an
-// empty window. Deployments without a steady event flow should also
-// call PublishNow on a timer to bound wall-clock staleness (the ingest
-// pipeline does this).
+// core.DefaultPublishEvery) the shards holding mass are cloned — one slab
+// copy per shard, each under its own lock only — united lock-free, and
+// published as an immutable Epoch. With one such shard its clone is the
+// epoch. Estimate/EstimateBounds/HotRanges then answer from the latest
+// epoch with zero lock acquisitions. Idempotent; the first call publishes
+// an initial epoch so readers never observe an empty window. Deployments
+// should also call PublishStale on a timer to bound wall-clock staleness
+// (the ingest pipeline does this every 25 ms by default).
 func (e *Engine) EnableReadSnapshots(every uint64) {
 	if every == 0 {
 		every = core.DefaultPublishEvery
@@ -248,7 +252,7 @@ func (e *Engine) Publisher() *core.EpochPublisher { return e.pub.Load() }
 // every query on the returned Epoch describes one merged cut of the
 // whole engine. The caller must Release it. When read snapshots are
 // disabled this degrades to a detached MergedTreeCut — same API, one
-// extra merge.
+// extra union.
 func (e *Engine) Reader() *core.Epoch {
 	if p := e.pub.Load(); p != nil {
 		if ep := p.Acquire(); ep != nil {
@@ -296,27 +300,39 @@ func (e *Engine) PublishNow() {
 	e.publishInto(p)
 }
 
-// PublishPending reports the offered events credited since the last
-// publish (0 when read snapshots are disabled). A staleness timer can
-// skip PublishNow when nothing arrived.
-func (e *Engine) PublishPending() uint64 { return e.pubPend.Load() }
+// publishGuard spaces PublishStale's publishes: it starts none sooner
+// than publishGuard times the previous publish's duration after that
+// publish ended, which caps timer publishing at about 5% of a core
+// however large the shards grow.
+const publishGuard = 20
 
-// publishInto cuts and publishes one merged epoch: clone each shard
-// under its own lock (a single slab copy, so locks are held for a
-// memcpy, not a tree walk), then merge the private clones lock-free.
-// Callers serialize via pubMu so epoch sequence numbers match publish
-// order.
-func (e *Engine) publishInto(p *core.EpochPublisher) {
-	m := core.MustNew(e.cfg)
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		c := sh.tree.Clone()
-		sh.mu.Unlock()
-		if err := m.Merge(c); err != nil {
-			panic(err) // shard trees share the engine config by construction
-		}
+// PublishStale publishes a fresh epoch when offered events arrived since
+// the last publish, unless the previous publish ended less than
+// publishGuard times its own duration ago or a publish is in flight. It
+// reports whether it published. Staleness timers call it; a skipped call
+// leaves the pending count for the next tick or the event cadence.
+func (e *Engine) PublishStale() bool {
+	p := e.pub.Load()
+	if p == nil || e.pubPend.Load() == 0 || !e.pubMu.TryLock() {
+		return false
 	}
-	p.Publish(m)
+	defer e.pubMu.Unlock()
+	if e.pubPend.Load() == 0 || time.Since(e.pubEnd) < publishGuard*e.pubDur {
+		return false
+	}
+	e.pubPend.Store(0)
+	e.publishInto(p)
+	return true
+}
+
+// publishInto cuts and publishes one epoch, the union of the shards (see
+// merged), and times it for PublishStale. Callers serialize via pubMu so
+// epoch sequence numbers match publish order.
+func (e *Engine) publishInto(p *core.EpochPublisher) {
+	start := time.Now()
+	p.Publish(e.merged(false))
+	e.pubEnd = time.Now()
+	e.pubDur = e.pubEnd.Sub(start)
 }
 
 // republish refreshes the current epoch after a wholesale tree swap
@@ -339,7 +355,7 @@ func (e *Engine) current() *core.Epoch {
 
 // live runs a query on the live profile: with one shard, on the lone tree
 // under its lock (a union of one tree is that tree, so no copy is
-// needed); otherwise on a fresh merged union.
+// needed); otherwise on a fresh union.
 func (e *Engine) live(fn func(t *core.Tree)) {
 	if len(e.shards) == 1 {
 		sh := e.shards[0]
@@ -348,19 +364,45 @@ func (e *Engine) live(fn func(t *core.Tree)) {
 		fn(sh.tree)
 		return
 	}
-	fn(e.merged())
+	fn(e.merged(false))
 }
 
-// merged builds a one-off union of all shard trees. Shards are folded in
-// one at a time, each under its own lock only — queries never stop the
-// world. The result is a passive snapshot (no hooks).
-func (e *Engine) merged() *core.Tree {
-	m := core.MustNew(e.cfg)
+// merged builds the union of all shard trees that epochs, live queries,
+// MergedTree and MergedTreeCut answer from. Shards holding no offered
+// mass are skipped; the others are cloned, each under its own lock unless
+// the caller holds them all (held) — a slab copy, so no lock is held for
+// a tree walk. The clone with the most nodes becomes the union, and the
+// rest are grafted into it lock-free with core.Tree.Union, which skips
+// Merge's split re-check: that re-check only adds zero-count children,
+// and the union is only queried. The result is a passive snapshot (no
+// hooks); with one non-empty shard it is that shard's clone.
+func (e *Engine) merged(held bool) *core.Tree {
+	var clones []*core.Tree
+	big := -1
 	for _, sh := range e.shards {
-		sh.mu.Lock()
-		err := m.Merge(sh.tree)
-		sh.mu.Unlock()
-		if err != nil {
+		if !held {
+			sh.mu.Lock()
+		}
+		if sh.tree.N()+sh.tree.UnadmittedN() > 0 {
+			c := sh.tree.Clone()
+			if big < 0 || c.NodeCount() > clones[big].NodeCount() {
+				big = len(clones)
+			}
+			clones = append(clones, c)
+		}
+		if !held {
+			sh.mu.Unlock()
+		}
+	}
+	if big < 0 {
+		return core.MustNew(e.cfg)
+	}
+	m := clones[big]
+	for i, c := range clones {
+		if i == big {
+			continue
+		}
+		if err := m.Union(c); err != nil {
 			// Shard trees share the engine config by construction; a
 			// mismatch is a programming error, not a runtime condition.
 			panic(err)
@@ -369,10 +411,10 @@ func (e *Engine) merged() *core.Tree {
 	return m
 }
 
-// MergedTree returns a merged snapshot of all shards as a plain tree, for
-// dumps, analysis, and serialization. The snapshot is independent of the
+// MergedTree returns the union of all shards as a plain tree, for dumps,
+// analysis, and serialization. The snapshot is independent of the
 // engine: mutating it does not touch live shards.
-func (e *Engine) MergedTree() *core.Tree { return e.merged() }
+func (e *Engine) MergedTree() *core.Tree { return e.merged(false) }
 
 // Estimate returns the lower-bound estimate for [lo, hi] over the merged
 // view. The undershoot is at most eps*N() for tracked ranges. With read
@@ -558,8 +600,8 @@ func (e *Engine) UnadmittedN() uint64 {
 }
 
 // MergedTreeCut builds the union of all shard trees under a full cut: all
-// shard locks are held (in index order) while the shards are merged and
-// capture — when non-nil — runs on the merged result. Unlike MergedTree,
+// shard locks are held (in index order) while the union is built (see
+// merged) and capture — when non-nil — runs on it. Unlike MergedTree,
 // whose per-shard locking lets concurrent ingest skew the view between
 // shards, the cut is exactly consistent: state read by capture and the
 // merged tree describe the same instant. The audit subsystem compares its
@@ -574,12 +616,7 @@ func (e *Engine) MergedTreeCut(capture func(m *core.Tree)) *core.Tree {
 			e.shards[i].mu.Unlock()
 		}
 	}()
-	m := core.MustNew(e.cfg)
-	for _, sh := range e.shards {
-		if err := m.Merge(sh.tree); err != nil {
-			panic(err) // shard trees share the engine config by construction
-		}
-	}
+	m := e.merged(true)
 	if capture != nil {
 		capture(m)
 	}
